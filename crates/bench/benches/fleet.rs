@@ -10,7 +10,10 @@
 //! Alongside throughput the artifact records cap compliance (the cluster
 //! governor must never let summed device power exceed the global cap on any
 //! tick) and an interleave-determinism bit: the canonical fleet report must
-//! be byte-identical between a 1-thread and an 8-thread pool.
+//! be byte-identical between a 1-thread and an 8-thread pool. Throughput
+//! depends on the shared pool's width (every device of the headline fleet
+//! contends for one kernel's plan lock), so the artifact records it as
+//! `pool_threads`; `HARMONIA_THREADS=1` pins it to the calling thread.
 //!
 //! Running this bench regenerates `BENCH_fleet.json` at the repository root.
 
@@ -18,6 +21,7 @@ use criterion::Criterion;
 use harmonia_bench::{median_secs, write_bench_artifact, BenchJson};
 use harmonia_fleet::{FleetScheduler, FleetSpec};
 use harmonia_power::PowerModel;
+use harmonia_sim::sweep::shared_pool_threads;
 use harmonia_sim::{IntervalModel, SweepPool};
 use harmonia_types::{DeviceSpec, Watts};
 use harmonia_workloads::{suite, Application};
@@ -108,6 +112,7 @@ fn write_artifact() {
         .field_str("bench", "fleet")
         .field_str("device_class", "hd7970")
         .field_int("devices", DEVICES as u64)
+        .field_int("pool_threads", shared_pool_threads() as u64)
         .field_int("ticks", TICKS)
         .field_int("unique_kernels", report.unique_kernels as u64)
         .field_f64("global_cap_w", cap_w, 1)

@@ -74,7 +74,7 @@ impl Sensitivity {
     }
 
     /// [`Sensitivity::measure`] on an arbitrary device grid: the probe
-    /// points come from the grid (see [`probe_points`]) so catalog devices
+    /// points come from the grid (see `probe_points`) so catalog devices
     /// measure sensitivity across *their* tunable ranges.
     pub fn measure_on<M: TimingModel>(
         grid: &GridSpec,

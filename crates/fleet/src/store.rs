@@ -24,11 +24,12 @@
 use harmonia::governor::{Ed2Objective, Governor, PowerTable};
 use harmonia_power::PowerModel;
 use harmonia_sim::{
-    CacheStats, CachedModel, CounterSample, Decision, KernelProfile, PlanStats, SimCache,
-    SimResult, SweepPlan, TimingModel,
+    CacheStats, CachedModel, CounterSample, Decision, KernelProfile, PlanStats, ScaleKeyHasher,
+    SimCache, SimResult, SweepPlan, TimingModel,
 };
 use harmonia_types::{ConfigSpace, HwConfig};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One device class's modeling resources: timing model, power model, and
@@ -77,8 +78,10 @@ pub struct PlanStore<'a> {
     plans: RwLock<PlanMap>,
 }
 
-/// Keyed (device fingerprint, kernel fingerprint) → independently locked plan.
-type PlanMap = HashMap<(u64, u64), Arc<Mutex<SweepPlan>>>;
+/// Keyed (device fingerprint, kernel fingerprint) → independently locked
+/// plan. Both words are FNV-1a fingerprints, so the map hashes them with
+/// the sim crate's multiply-xorshift [`ScaleKeyHasher`] instead of SipHash.
+type PlanMap = HashMap<(u64, u64), Arc<Mutex<SweepPlan>>, BuildHasherDefault<ScaleKeyHasher>>;
 
 impl<'a> PlanStore<'a> {
     /// Creates an empty single-class store over the given models and the
@@ -87,7 +90,7 @@ impl<'a> PlanStore<'a> {
         Self {
             classes: vec![ClassResources::new(model, power)],
             cache: SimCache::new(),
-            plans: RwLock::new(HashMap::new()),
+            plans: RwLock::new(PlanMap::default()),
         }
     }
 
@@ -330,8 +333,9 @@ mod tests {
     #[test]
     fn device_classes_plan_and_decide_independently() {
         use harmonia_types::DeviceSpec;
-        let hd = IntervalModel::default();
-        let hd_power = PowerModel::hd7970();
+        let hd7970 = DeviceSpec::lookup("hd7970").unwrap();
+        let hd = IntervalModel::new(hd7970.gpu);
+        let hd_power = PowerModel::for_device(&hd7970);
         let v100 = DeviceSpec::v100();
         let v100_model = IntervalModel::new(v100.gpu.clone());
         let v100_power = PowerModel::for_device(&v100);

@@ -71,6 +71,10 @@ impl<M: TimingModel> TimingModel for RecordingModel<M> {
     fn fidelity_key(&self) -> u64 {
         self.inner.fidelity_key()
     }
+
+    fn device_key(&self) -> u64 {
+        self.inner.device_key()
+    }
 }
 
 /// A [`TimingModel`] with no simulation inside: every `simulate` call is
@@ -81,12 +85,18 @@ impl<M: TimingModel> TimingModel for RecordingModel<M> {
 pub struct ReplayModel {
     replayer: Replayer,
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, computed once ([`TimingModel::device_key`]).
+    device_key: u64,
 }
 
 impl ReplayModel {
     /// A playback model over `replayer`, describing `gpu`.
     pub fn new(replayer: Replayer, gpu: GpuDescriptor) -> Self {
-        Self { replayer, gpu }
+        Self {
+            replayer,
+            device_key: gpu.fingerprint(),
+            gpu,
+        }
     }
 
     /// The shared replay cursor.
@@ -114,6 +124,10 @@ impl TimingModel for ReplayModel {
         // Playback results must never alias a live model's in a shared
         // sweep cache.
         harmonia_sim::faults::mix_fidelity(0, 0x5e55_0000_0000_0001)
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 }
 

@@ -231,11 +231,15 @@ pub struct PlanStats {
 /// phase-determined — the raw iteration.
 type ScaleKey = (u64, u64, u64);
 
-/// A multiply-xorshift hasher for [`ScaleKey`] lookups: the keys are
-/// trusted in-process bit patterns (no DoS surface), so the memo skips
-/// SipHash on the per-decision hot path.
-#[derive(Default)]
-struct ScaleKeyHasher(u64);
+/// A multiply-xorshift hasher for the per-decision lookup maps: the
+/// [`SweepPlan`] phase-scale memo, the [`SimCache`](crate::sweep::SimCache)
+/// shards, and the fleet's plan map. Their keys are trusted in-process
+/// words — phase-scale bit patterns, configurations, and FNV-1a kernel and
+/// device fingerprints that are already well mixed — with no DoS surface,
+/// so these maps skip SipHash on the hot path. Use it through
+/// `BuildHasherDefault<ScaleKeyHasher>`.
+#[derive(Debug, Default)]
+pub struct ScaleKeyHasher(u64);
 
 impl Hasher for ScaleKeyHasher {
     fn finish(&self) -> u64 {
@@ -246,6 +250,11 @@ impl Hasher for ScaleKeyHasher {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        // One round per word, not per byte (configurations hash as u32s).
+        self.write_u64(u64::from(v));
     }
 
     fn write_u64(&mut self, v: u64) {

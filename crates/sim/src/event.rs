@@ -85,6 +85,8 @@ impl FastForwardPolicy {
 #[derive(Debug, Clone)]
 pub struct EventModel {
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, computed once ([`TimingModel::device_key`]).
+    device_key: u64,
     max_waves: u64,
     fast_forward: FastForwardPolicy,
 }
@@ -94,6 +96,7 @@ impl EventModel {
     /// fast-forward off.
     pub fn new(gpu: GpuDescriptor) -> Self {
         Self {
+            device_key: gpu.fingerprint(),
             gpu,
             max_waves: 8192,
             fast_forward: FastForwardPolicy::Off,
@@ -526,6 +529,10 @@ impl TimingModel for EventModel {
             }
         };
         h
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 }
 

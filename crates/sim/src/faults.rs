@@ -572,6 +572,10 @@ impl<M: TimingModel> TimingModel for FaultyModel<M> {
             mix_fidelity(self.inner.fidelity_key(), 0xFA17) ^ self.plan.seed.rotate_left(21)
         }
     }
+
+    fn device_key(&self) -> u64 {
+        self.inner.device_key()
+    }
 }
 
 #[cfg(test)]

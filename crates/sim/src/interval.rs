@@ -56,12 +56,17 @@ const L1_HIT_LATENCY_CYCLES: f64 = 20.0;
 #[derive(Debug, Clone)]
 pub struct IntervalModel {
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, computed once ([`TimingModel::device_key`]).
+    device_key: u64,
 }
 
 impl IntervalModel {
     /// Creates an interval model of `gpu`.
     pub fn new(gpu: GpuDescriptor) -> Self {
-        Self { gpu }
+        Self {
+            device_key: gpu.fingerprint(),
+            gpu,
+        }
     }
 }
 
@@ -454,6 +459,10 @@ impl TimingModel for IntervalModel {
     /// scale, so sweeps may memoize across iterations.
     fn phase_determined(&self) -> bool {
         true
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 }
 

@@ -67,7 +67,10 @@ pub mod servers;
 pub mod sweep;
 pub mod trace;
 
-pub use batch::{Decision, DecisionKind, PlanStats, SweepObjective, SweepPlan, SweepPoint, SweepTerms};
+pub use batch::{
+    Decision, DecisionKind, PlanStats, ScaleKeyHasher, SweepObjective, SweepPlan, SweepPoint,
+    SweepTerms,
+};
 pub use calendar::CalendarQueue;
 pub use counters::CounterSample;
 pub use device::{GpuDescriptor, GridSpec};

@@ -155,12 +155,16 @@ pub trait TimingModel: Send + Sync {
 
     /// A key identifying the *device* this model simulates, so caches keyed
     /// on `(kernel, fidelity)` never alias results across devices with
-    /// different grids or machine parameters. The default — the
-    /// [`GpuDescriptor`] fingerprint — is right for every model; it exists
-    /// as a method so wrappers forward it alongside `fidelity_key`.
-    fn device_key(&self) -> u64 {
-        self.gpu().fingerprint()
-    }
+    /// different grids or machine parameters.
+    ///
+    /// Simulating models return the [`GpuDescriptor::fingerprint`] of their
+    /// device, computed once at construction; wrappers forward their inner
+    /// model's key alongside `fidelity_key`. The method has no default
+    /// because the fingerprint is a byte-wise FNV-1a over the whole
+    /// descriptor (hundreds of nanoseconds) and every sweep-cache lookup and
+    /// plan decision asks for it — re-hashing [`TimingModel::gpu`] per call
+    /// would cost more than a warm decision itself.
+    fn device_key(&self) -> u64;
 }
 
 impl<T: TimingModel + ?Sized> TimingModel for &T {

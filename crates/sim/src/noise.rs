@@ -110,6 +110,10 @@ impl<M: TimingModel> TimingModel for NoisyModel<M> {
                 ^ self.seed.rotate_left(13)
         }
     }
+
+    fn device_key(&self) -> u64 {
+        self.inner.device_key()
+    }
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! [`PhaseModulation::scale_for`]: crate::profile::PhaseModulation::scale_for
 //! [`PhaseModulation::Constant`]: crate::profile::PhaseModulation::Constant
 
-use crate::batch::SweepTerms;
+use crate::batch::{ScaleKeyHasher, SweepTerms};
 use crate::device::GpuDescriptor;
 use crate::model::{SimResult, TimingModel};
 use crate::pool;
@@ -42,6 +42,7 @@ use crate::profile::KernelProfile;
 use harmonia_types::HwConfig;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
 
@@ -239,6 +240,11 @@ impl CacheKey {
     }
 }
 
+/// A map keyed by [`CacheKey`]: its words are fingerprints, configurations
+/// and bit patterns, so the multiply-xorshift [`ScaleKeyHasher`] replaces
+/// SipHash on every lookup.
+type KeyMap<V> = HashMap<CacheKey, V, BuildHasherDefault<ScaleKeyHasher>>;
+
 /// A sharded, thread-safe memoization cache over [`TimingModel::simulate`].
 ///
 /// `SHARDS` independent `RwLock<HashMap>` shards keep contention low when
@@ -248,7 +254,7 @@ impl CacheKey {
 /// inserts the identical value — last write wins harmlessly.
 #[derive(Debug, Default)]
 pub struct SimCache {
-    shards: [RwLock<HashMap<CacheKey, SimResult>>; SHARDS],
+    shards: [RwLock<KeyMap<SimResult>>; SHARDS],
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -298,7 +304,7 @@ impl SimCache {
     ) -> Vec<SimResult> {
         let mut out: Vec<Option<SimResult>> = vec![None; cfgs.len()];
         let mut miss_lanes: Vec<usize> = Vec::new();
-        let mut pending: HashMap<CacheKey, usize> = HashMap::new();
+        let mut pending: KeyMap<usize> = KeyMap::default();
         let mut duplicates: Vec<(usize, usize)> = Vec::new();
         for (i, &cfg) in cfgs.iter().enumerate() {
             let key = CacheKey::new(cfg, kernel, iteration, model);

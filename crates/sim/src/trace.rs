@@ -209,6 +209,8 @@ fn seed_of(name: &str, wave: u64, iteration: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct TraceModel {
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, computed once ([`TimingModel::device_key`]).
+    device_key: u64,
     generator: TraceGenerator,
     max_waves: u64,
 }
@@ -218,6 +220,7 @@ impl TraceModel {
     /// (trace replay is the slowest model; the cap keeps sweeps feasible).
     pub fn new(gpu: GpuDescriptor) -> Self {
         Self {
+            device_key: gpu.fingerprint(),
             gpu,
             generator: TraceGenerator::new(),
             max_waves: 2048,
@@ -512,6 +515,10 @@ impl TimingModel for TraceModel {
 
     fn gpu(&self) -> &GpuDescriptor {
         &self.gpu
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 }
 
