@@ -20,6 +20,7 @@ use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{CounterSample, KernelProfile};
 use harmonia_types::{HwConfig, Seconds, Tunable, Watts};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Wraps a governor and enforces a card-power budget on its decisions.
@@ -27,7 +28,10 @@ pub struct CappedGovernor<'a, G> {
     inner: G,
     power: &'a PowerModel,
     cap: Watts,
-    name: String,
+    /// `inner@capW`, rendered on first request after each cap change — a
+    /// fleet re-targets every device's cap every tick but reads the names
+    /// once, into the final report.
+    name: OnceCell<String>,
     /// Last observed activity per kernel, used to project power.
     activity: HashMap<String, Activity>,
     trace: TraceHandle,
@@ -45,12 +49,11 @@ pub struct CappedGovernor<'a, G> {
 impl<'a, G: Governor> CappedGovernor<'a, G> {
     /// Wraps `inner`, limiting projected card power to `cap`.
     pub fn new(inner: G, power: &'a PowerModel, cap: Watts) -> Self {
-        let name = format!("{}@{:.0}W", inner.name(), cap.value());
         Self {
             inner,
             power,
             cap,
-            name,
+            name: OnceCell::new(),
             activity: HashMap::new(),
             trace: TraceHandle::disabled(),
             ledger: None,
@@ -94,7 +97,7 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
     /// device's decorator picks up its new share here.
     pub fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
-        self.name = format!("{}@{:.0}W", self.inner.name(), cap.value());
+        self.name.take();
     }
 
     /// Observed intervals whose projected card power exceeded the cap
@@ -136,7 +139,8 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
 
 impl<G: Governor> Governor for CappedGovernor<'_, G> {
     fn name(&self) -> &str {
-        &self.name
+        self.name
+            .get_or_init(|| format!("{}@{:.0}W", self.inner.name(), self.cap.value()))
     }
 
     fn set_trace(&mut self, trace: TraceHandle) {
@@ -215,7 +219,13 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         // interval's activity. Only samples from quiet intervals may teach
         // the clamp.
         if !pressure && !crate::sanitize::dead_sample(counters) {
-            self.activity.insert(kernel.name.clone(), activity);
+            // Overwrite in place: the name is cloned only for a new kernel.
+            match self.activity.get_mut(&kernel.name) {
+                Some(slot) => *slot = activity,
+                None => {
+                    self.activity.insert(kernel.name.clone(), activity);
+                }
+            }
         }
         self.inner.observe(kernel, iteration, cfg, counters);
     }

@@ -1,17 +1,18 @@
 //! One device's session: a per-device governor stack over the shared
 //! [`PlanStore`], stepped once per scheduler tick.
 //!
-//! A session owns its application, its governor stack (the shared oracle,
-//! optionally wrapped in the core [`CappedGovernor`] when the fleet
-//! enforces a cluster cap), and its accounting — total time, card energy,
-//! a rolling FNV-1a digest of every granted configuration, and the cap
-//! telemetry the [`ClusterGovernor`](crate::cluster::ClusterGovernor)
-//! water-fills on. Everything a step touches is either session-local or
-//! goes through the store's per-kernel locks, so stepping devices in
-//! parallel is safe and their accounting is interleaving-independent.
+//! A session borrows its application and owns its governor stack (the
+//! shared oracle, optionally wrapped in the core [`CappedGovernor`] when
+//! the fleet enforces a cluster cap), one store handle per kernel, and its
+//! accounting — total time, card energy, a rolling FNV-1a digest of every
+//! granted configuration, and the cap telemetry the
+//! [`ClusterGovernor`](crate::cluster::ClusterGovernor) water-fills on.
+//! Everything a step touches is either session-local or goes through the
+//! store's per-kernel locks, so stepping devices in parallel is safe and
+//! their accounting is interleaving-independent.
 
 use crate::cluster::DeviceDemand;
-use crate::store::{PlanStore, SharedOracleGovernor};
+use crate::store::{KernelHandle, PlanStore, SharedOracleGovernor};
 use harmonia::governor::{CappedGovernor, Governor};
 use harmonia_power::Activity;
 use harmonia_types::{Joules, Seconds, Watts};
@@ -66,9 +67,13 @@ pub struct DeviceReport {
 pub struct DeviceSession<'s, 'a> {
     id: usize,
     class: usize,
-    app: Application,
+    app: &'s Application,
     governor: DeviceGovernor<'s, 'a>,
     store: &'s PlanStore<'a>,
+    /// One store handle per application kernel, in kernel order, resolved
+    /// on the first step: every later tick decides and simulates through
+    /// them without re-hashing the kernel or re-reading the plan map.
+    handles: Vec<KernelHandle>,
     total_time: Seconds,
     card_energy: Joules,
     decisions: u64,
@@ -90,12 +95,17 @@ fn fnv(mut digest: u64, words: &[u64]) -> u64 {
 
 impl<'s, 'a> DeviceSession<'s, 'a> {
     /// An uncapped class-0 session: the shared oracle governs directly.
-    pub fn oracle(id: usize, app: Application, store: &'s PlanStore<'a>) -> Self {
+    pub fn oracle(id: usize, app: &'s Application, store: &'s PlanStore<'a>) -> Self {
         Self::oracle_in_class(id, 0, app, store)
     }
 
     /// An uncapped session of device class `class`.
-    pub fn oracle_in_class(id: usize, class: usize, app: Application, store: &'s PlanStore<'a>) -> Self {
+    pub fn oracle_in_class(
+        id: usize,
+        class: usize,
+        app: &'s Application,
+        store: &'s PlanStore<'a>,
+    ) -> Self {
         Self::build(
             id,
             class,
@@ -107,7 +117,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
 
     /// A capped class-0 session: the shared oracle under a
     /// [`CappedGovernor`] clamp at the device's initial cap share.
-    pub fn capped(id: usize, app: Application, store: &'s PlanStore<'a>, cap: Watts) -> Self {
+    pub fn capped(id: usize, app: &'s Application, store: &'s PlanStore<'a>, cap: Watts) -> Self {
         Self::capped_in_class(id, 0, app, store, cap)
     }
 
@@ -116,7 +126,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     pub fn capped_in_class(
         id: usize,
         class: usize,
-        app: Application,
+        app: &'s Application,
         store: &'s PlanStore<'a>,
         cap: Watts,
     ) -> Self {
@@ -131,7 +141,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     fn build(
         id: usize,
         class: usize,
-        app: Application,
+        app: &'s Application,
         store: &'s PlanStore<'a>,
         governor: DeviceGovernor<'s, 'a>,
     ) -> Self {
@@ -141,6 +151,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
             app,
             governor,
             store,
+            handles: Vec::new(),
             total_time: Seconds(0.0),
             card_energy: Joules(0.0),
             decisions: 0,
@@ -171,22 +182,32 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     /// tick's merge contribution. Safe to call from any pool worker: all
     /// shared state goes through the store's per-kernel locks.
     pub fn step(&mut self, tick: u64) -> TickOutcome {
+        let (store, class, app) = (self.store, self.class, self.app);
+        if self.handles.len() != app.kernels.len() {
+            self.handles = app.kernels.iter().map(|k| store.handle(class, k)).collect();
+        }
         let capped = matches!(self.governor, DeviceGovernor::Capped(_));
-        let power = self.store.power_of(self.class);
-        let floor_cfg = self.store.floor_of(self.class);
+        let power = store.power_of(class);
+        let floor_cfg = store.floor_of(class);
         let mut tick_power = 0.0_f64;
         let mut demand = DeviceDemand { floor: 0.0, demand: 0.0, weight: 0.0 };
         let mut benefit = 0.0_f64;
-        for (ki, kernel) in self.app.kernels.iter().enumerate() {
+        for (ki, (kernel, handle)) in app.kernels.iter().zip(&self.handles).enumerate() {
             // The unconstrained optimum first: for capped fleets it is the
             // demand telemetry; the plan memo makes the governor's own
-            // lookup free either way.
-            let desired = if capped { Some(self.store.decide_for(self.class, kernel, tick)) } else { None };
+            // lookup free either way. The clamp's inner oracle decides
+            // through `decide_for` on its own, so every capped decision
+            // counts two memo hits.
+            let desired = if capped {
+                Some(store.decide_with(handle, kernel, tick))
+            } else {
+                None
+            };
             let granted = match &mut self.governor {
                 DeviceGovernor::Oracle(g) => g.decide(kernel, tick),
                 DeviceGovernor::Capped(g) => g.decide(kernel, tick),
             };
-            let result = self.store.simulate_for(self.class, kernel, granted, tick);
+            let result = store.simulate_with(handle, kernel, granted, tick);
             let activity = Activity {
                 valu_activity: result.counters.valu_activity(),
                 dram_bytes_per_sec: result.counters.dram_bytes_per_sec(),
@@ -215,7 +236,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
                 // Projected draw of the floor and the optimum at the
                 // activity just observed — the floor sim is a cache hit
                 // (the cold sweep covered the whole grid).
-                let floor_res = self.store.simulate_for(self.class, kernel, floor_cfg, tick);
+                let floor_res = store.simulate_with(handle, kernel, floor_cfg, tick);
                 let floor_act = Activity {
                     valu_activity: floor_res.counters.valu_activity(),
                     dram_bytes_per_sec: floor_res.counters.dram_bytes_per_sec(),
@@ -283,13 +304,14 @@ mod tests {
         let model = IntervalModel::default();
         let power = PowerModel::hd7970();
         let store = PlanStore::new(&model, &power);
-        let mut dev = DeviceSession::oracle(0, suite::stencil(), &store);
+        let app = suite::stencil();
+        let mut dev = DeviceSession::oracle(0, &app, &store);
         let out = dev.step(0);
         assert!(out.tick_power_w > 0.0);
         let r = dev.report();
         assert!(r.total_time.value() > 0.0);
         assert!(r.card_energy.value() > 0.0);
-        assert_eq!(r.decisions, suite::stencil().kernels.len() as u64);
+        assert_eq!(r.decisions, app.kernels.len() as u64);
         assert_ne!(r.config_digest, FNV_OFFSET);
         assert_eq!(r.final_cap_w, None);
         assert_eq!(r.cap_violations, 0);
@@ -300,8 +322,9 @@ mod tests {
         let model = IntervalModel::default();
         let power = PowerModel::hd7970();
         let store = PlanStore::new(&model, &power);
-        let mut a = DeviceSession::oracle(0, suite::stencil(), &store);
-        let mut b = DeviceSession::oracle(1, suite::stencil(), &store);
+        let app = suite::stencil();
+        let mut a = DeviceSession::oracle(0, &app, &store);
+        let mut b = DeviceSession::oracle(1, &app, &store);
         for tick in 0..4 {
             a.step(tick);
             b.step(tick);
@@ -318,8 +341,9 @@ mod tests {
         let model = IntervalModel::default();
         let power = PowerModel::hd7970();
         let store = PlanStore::new(&model, &power);
-        let mut free = DeviceSession::oracle(0, suite::maxflops(), &store);
-        let mut tight = DeviceSession::capped(1, suite::maxflops(), &store, Watts(120.0));
+        let app = suite::maxflops();
+        let mut free = DeviceSession::oracle(0, &app, &store);
+        let mut tight = DeviceSession::capped(1, &app, &store, Watts(120.0));
         let free_out = free.step(0);
         let tight_out = tight.step(0);
         assert!(

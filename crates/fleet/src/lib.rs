@@ -47,4 +47,4 @@ pub use device::{DeviceReport, DeviceSession, TickOutcome};
 pub use report::{FleetReport, FleetRun};
 pub use scheduler::FleetScheduler;
 pub use spec::FleetSpec;
-pub use store::{PlanStore, SharedOracleGovernor};
+pub use store::{KernelHandle, PlanStore, SharedOracleGovernor};

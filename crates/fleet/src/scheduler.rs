@@ -91,9 +91,7 @@ impl<'a> FleetScheduler<'a> {
     /// application in `apps` (device id = index), for the configured
     /// number of ticks. The store stays warm across calls.
     pub fn run(&self, apps: &[Application]) -> FleetRun {
-        let assignments: Vec<(usize, Application)> =
-            apps.iter().map(|app| (0, app.clone())).collect();
-        self.run_mixed(&assignments)
+        self.run_assigned(apps.iter().map(|app| (0, app)).collect())
     }
 
     /// Runs a (possibly heterogeneous) fleet: each `(class, app)` pair
@@ -103,6 +101,17 @@ impl<'a> FleetScheduler<'a> {
     /// so a 50 W edge part and a 700 W datacenter part can share a budget
     /// with their different floors and ceilings respected.
     pub fn run_mixed(&self, assignments: &[(usize, Application)]) -> FleetRun {
+        self.run_assigned(
+            assignments
+                .iter()
+                .map(|(class, app)| (*class, app))
+                .collect(),
+        )
+    }
+
+    /// Runs one session per `(class, app)` pair; each session borrows its
+    /// application for the run.
+    fn run_assigned(&self, assignments: Vec<(usize, &Application)>) -> FleetRun {
         let start = Instant::now();
         let devices = assignments.len();
         let global_cap = self.spec.global_cap(devices);
@@ -141,11 +150,11 @@ impl<'a> FleetScheduler<'a> {
                     Some(cap) => DeviceSession::capped_in_class(
                         id,
                         *class,
-                        app.clone(),
+                        app,
                         &self.store,
                         cap * (1.0 / devices.max(1) as f64),
                     ),
-                    None => DeviceSession::oracle_in_class(id, *class, app.clone(), &self.store),
+                    None => DeviceSession::oracle_in_class(id, *class, app, &self.store),
                 })
             })
             .collect();

@@ -78,6 +78,17 @@ pub struct PlanStore<'a> {
     plans: RwLock<PlanMap>,
 }
 
+/// One (class, kernel) pair resolved against a [`PlanStore`]: the kernel's
+/// [`KernelProfile::cache_key`] and the pair's shared plan. Obtained from
+/// [`PlanStore::handle`]; valid for the store that issued it and the kernel
+/// it was resolved for.
+#[derive(Debug)]
+pub struct KernelHandle {
+    class: usize,
+    key: u64,
+    plan: Arc<Mutex<SweepPlan>>,
+}
+
 /// Keyed (device fingerprint, kernel fingerprint) → independently locked
 /// plan. Both words are FNV-1a fingerprints, so the map hashes them with
 /// the sim crate's multiply-xorshift [`ScaleKeyHasher`] instead of SipHash.
@@ -146,19 +157,32 @@ impl<'a> PlanStore<'a> {
         &self.class(class).grid
     }
 
-    /// The (class, kernel) plan, created on first use. Read-locks the map
-    /// on the hot path; only a genuinely new pair takes the write lock.
-    fn plan_for(&self, class: usize, kernel: &KernelProfile) -> Arc<Mutex<SweepPlan>> {
+    /// Resolves `kernel`'s (class, kernel) plan, creating it on first use,
+    /// and returns a handle that carries the kernel fingerprint with it.
+    /// Read-locks the map on the hot path; only a genuinely new pair takes
+    /// the write lock. A session running the same kernels every tick
+    /// resolves each once and then decides and simulates through
+    /// [`decide_with`](Self::decide_with) and
+    /// [`simulate_with`](Self::simulate_with) with no further hashing or
+    /// map lookups.
+    pub fn handle(&self, class: usize, kernel: &KernelProfile) -> KernelHandle {
         let res = self.class(class);
-        let key = (res.model.device_key(), kernel.cache_key());
-        if let Some(plan) = self.plans.read().expect("plan map poisoned").get(&key) {
-            return Arc::clone(plan);
-        }
-        let mut map = self.plans.write().expect("plan map poisoned");
-        Arc::clone(
-            map.entry(key)
-                .or_insert_with(|| Arc::new(Mutex::new(SweepPlan::new(res.configs.clone())))),
-        )
+        let key = kernel.cache_key();
+        let pair = (res.model.device_key(), key);
+        let existing = self
+            .plans
+            .read()
+            .expect("plan map poisoned")
+            .get(&pair)
+            .map(Arc::clone);
+        let plan = existing.unwrap_or_else(|| {
+            let mut map = self.plans.write().expect("plan map poisoned");
+            Arc::clone(
+                map.entry(pair)
+                    .or_insert_with(|| Arc::new(Mutex::new(SweepPlan::new(res.configs.clone())))),
+            )
+        });
+        KernelHandle { class, key, plan }
     }
 
     /// The ED²-optimal decision for one invocation on class 0.
@@ -171,12 +195,22 @@ impl<'a> PlanStore<'a> {
     /// fleet-wide, memo replay for every repeat, frontier-only re-sweeps
     /// for new phase scales.
     pub fn decide_for(&self, class: usize, kernel: &KernelProfile, iteration: u64) -> Decision {
-        let res = self.class(class);
-        let plan = self.plan_for(class, kernel);
-        let mut plan = plan.lock().expect("plan poisoned");
+        self.decide_with(&self.handle(class, kernel), kernel, iteration)
+    }
+
+    /// [`decide_for`](Self::decide_for) through a resolved handle.
+    /// `kernel` must be the kernel the handle was resolved for.
+    pub fn decide_with(
+        &self,
+        handle: &KernelHandle,
+        kernel: &KernelProfile,
+        iteration: u64,
+    ) -> Decision {
+        let res = self.class(handle.class);
         let cached = CachedModel::new(res.model, &self.cache);
         let objective = Ed2Objective::new(res.power, &res.affine);
-        plan.decide(&cached, kernel, iteration, &objective)
+        let mut plan = handle.plan.lock().expect("plan poisoned");
+        plan.decide_keyed(&cached, kernel, handle.key, iteration, &objective)
     }
 
     /// Simulates one class-0 invocation through the shared cache.
@@ -194,10 +228,22 @@ impl<'a> PlanStore<'a> {
         cfg: HwConfig,
         iteration: u64,
     ) -> SimResult {
-        let res = self.class(class);
-        let plan = self.plan_for(class, kernel);
-        let _guard = plan.lock().expect("plan poisoned");
-        self.cache.simulate(res.model, cfg, kernel, iteration)
+        self.simulate_with(&self.handle(class, kernel), kernel, cfg, iteration)
+    }
+
+    /// [`simulate_for`](Self::simulate_for) through a resolved handle.
+    /// `kernel` must be the kernel the handle was resolved for.
+    pub fn simulate_with(
+        &self,
+        handle: &KernelHandle,
+        kernel: &KernelProfile,
+        cfg: HwConfig,
+        iteration: u64,
+    ) -> SimResult {
+        let model = self.class(handle.class).model;
+        let _guard = handle.plan.lock().expect("plan poisoned");
+        self.cache
+            .simulate_keyed(model, cfg, kernel, handle.key, iteration)
     }
 
     /// Number of distinct (class, kernel) pairs planned so far.

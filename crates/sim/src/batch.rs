@@ -355,7 +355,26 @@ impl SweepPlan {
         M: TimingModel + ?Sized,
         O: SweepObjective + ?Sized,
     {
-        let identity = (kernel.cache_key(), model.fidelity_key(), model.device_key());
+        self.decide_keyed(model, kernel, kernel.cache_key(), iteration, objective)
+    }
+
+    /// [`decide`](Self::decide) for a caller that already holds the
+    /// kernel's [`KernelProfile::cache_key`] — a session replaying the same
+    /// kernel every tick hashes it once, not once per decision.
+    pub fn decide_keyed<M, O>(
+        &mut self,
+        model: &M,
+        kernel: &KernelProfile,
+        kernel_key: u64,
+        iteration: u64,
+        objective: &O,
+    ) -> Decision
+    where
+        M: TimingModel + ?Sized,
+        O: SweepObjective + ?Sized,
+    {
+        debug_assert_eq!(kernel_key, kernel.cache_key(), "stale kernel key");
+        let identity = (kernel_key, model.fidelity_key(), model.device_key());
         if self.identity != Some(identity) {
             self.identity = Some(identity);
             self.terms = None;

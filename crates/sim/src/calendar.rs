@@ -10,14 +10,17 @@
 //!
 //! This implementation preserves the **exact total order** the event model
 //! relied on with its `BinaryHeap<Reverse<(time, id, kind)>>`: ties on the
-//! timestamp are broken by the payload's `Ord`, so replacing the heap is a
-//! bit-identical refactor — asserted by the differential property tests
-//! below, which drive both queues with the same operation sequence.
+//! timestamp are broken by the payload's `Ord` — for the event model's
+//! `(wave id, kind)` payload, wave id first — never by insertion order, so
+//! replacing the heap is a bit-identical refactor. The differential
+//! property tests below assert it by driving both queues with the same
+//! operation sequence.
 //!
-//! Robustness over cleverness: the queue resizes (doubling or halving the
-//! day count, re-deriving the bucket width from the observed event span)
-//! whenever occupancy drifts out of band, so a poor initial width hint only
-//! costs a rebuild, never correctness.
+//! Robustness over cleverness: the queue only grows. When a push finds
+//! four events per bucket already queued, it doubles the day count and
+//! re-derives the bucket width from the resident events' span, so a poor
+//! initial width hint only costs a rebuild, never correctness. It never
+//! shrinks.
 
 /// Smallest number of day buckets the calendar keeps (power of two).
 const MIN_BUCKETS: usize = 16;
@@ -25,8 +28,8 @@ const MIN_BUCKETS: usize = 16;
 /// Grow when the event count exceeds `buckets × GROW_FACTOR`.
 const GROW_FACTOR: usize = 4;
 
-/// A time-ordered priority queue of `(u64 time, T payload)` events with
-/// FIFO-deterministic tie-breaking via the payload's total order.
+/// A time-ordered priority queue of `(u64 time, T payload)` events whose
+/// timestamp ties break deterministically by the payload's total order.
 ///
 /// Pops ascend by `(time, payload)` — the same order a min-heap over the
 /// tuple would produce. Inserting an event earlier than the last popped

@@ -209,15 +209,18 @@ struct CacheKey {
 }
 
 impl CacheKey {
+    /// The key of one point, given the kernel's precomputed
+    /// [`KernelProfile::cache_key`].
     fn new<M: TimingModel + ?Sized>(
         cfg: HwConfig,
         kernel: &KernelProfile,
+        kernel_key: u64,
         iteration: u64,
         model: &M,
     ) -> Self {
         let scale = kernel.phase.scale_for(iteration);
         CacheKey {
-            kernel: kernel.cache_key(),
+            kernel: kernel_key,
             cfg,
             compute_bits: scale.compute.to_bits(),
             memory_bits: scale.memory.to_bits(),
@@ -275,7 +278,22 @@ impl SimCache {
         kernel: &KernelProfile,
         iteration: u64,
     ) -> SimResult {
-        let key = CacheKey::new(cfg, kernel, iteration, model);
+        self.simulate_keyed(model, cfg, kernel, kernel.cache_key(), iteration)
+    }
+
+    /// [`simulate`](Self::simulate) for a caller that already holds the
+    /// kernel's [`KernelProfile::cache_key`] — a session replaying the same
+    /// kernel every tick hashes it once, not once per lookup.
+    pub fn simulate_keyed<M: TimingModel + ?Sized>(
+        &self,
+        model: &M,
+        cfg: HwConfig,
+        kernel: &KernelProfile,
+        kernel_key: u64,
+        iteration: u64,
+    ) -> SimResult {
+        debug_assert_eq!(kernel_key, kernel.cache_key(), "stale kernel key");
+        let key = CacheKey::new(cfg, kernel, kernel_key, iteration, model);
         let shard = &self.shards[key.shard()];
         if let Some(r) = shard.read().expect("cache shard poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -306,8 +324,9 @@ impl SimCache {
         let mut miss_lanes: Vec<usize> = Vec::new();
         let mut pending: KeyMap<usize> = KeyMap::default();
         let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        let kernel_key = kernel.cache_key();
         for (i, &cfg) in cfgs.iter().enumerate() {
-            let key = CacheKey::new(cfg, kernel, iteration, model);
+            let key = CacheKey::new(cfg, kernel, kernel_key, iteration, model);
             if let Some(r) = self.shards[key.shard()]
                 .read()
                 .expect("cache shard poisoned")
@@ -328,7 +347,7 @@ impl SimCache {
             let miss_cfgs: Vec<HwConfig> = miss_lanes.iter().map(|&i| cfgs[i]).collect();
             let results = model.simulate_batch(&miss_cfgs, kernel, iteration);
             for (&lane, &r) in miss_lanes.iter().zip(&results) {
-                let key = CacheKey::new(cfgs[lane], kernel, iteration, model);
+                let key = CacheKey::new(cfgs[lane], kernel, kernel_key, iteration, model);
                 self.shards[key.shard()]
                     .write()
                     .expect("cache shard poisoned")
