@@ -60,7 +60,7 @@ fn bench_fleet(c: &mut Criterion) {
     // Mixed-device warm run: half hd7970, half v100, each class deciding
     // on its own grid against the shared store.
     let v100 = DeviceSpec::lookup("v100").expect("v100 in catalog");
-    let v100_model = IntervalModel::new(v100.gpu.clone());
+    let v100_model = IntervalModel::new(v100.gpu);
     let v100_power = PowerModel::for_device(&v100);
     let assignments: Vec<(usize, Application)> = (0..128)
         .map(|i| (usize::from(i >= 64), suite::stencil()))
@@ -134,7 +134,7 @@ fn write_artifact() {
     // cluster cap is water-filled across both. Sized against each class's
     // own solo peak so the cap stays binding-adjacent but satisfiable.
     let v100 = DeviceSpec::lookup("v100").expect("v100 in catalog");
-    let v100_model = IntervalModel::new(v100.gpu.clone());
+    let v100_model = IntervalModel::new(v100.gpu);
     let v100_power = PowerModel::for_device(&v100);
     let half = DEVICES / 2;
     let v100_p0 = solo_peak_power_w(&v100_model, &v100_power);

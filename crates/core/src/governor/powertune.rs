@@ -244,7 +244,7 @@ mod tests {
                 "ladder clock {mhz} MHz must be on the v100 grid"
             );
         }
-        let model = IntervalModel::new(spec.gpu.clone());
+        let model = IntervalModel::new(spec.gpu);
         let k = suite::stencil().kernels[0].clone();
         let mut g = PowerTuneGovernor::new(&power);
         let cfg = g.decide(&k, 0);

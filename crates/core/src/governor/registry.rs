@@ -425,7 +425,7 @@ mod tests {
         let predictor = SensitivityPredictor::paper_table3();
         for device_name in DeviceSpec::catalog() {
             let device = DeviceSpec::lookup(device_name).expect(device_name);
-            let model = IntervalModel::new(device.gpu.clone());
+            let model = IntervalModel::new(device.gpu);
             let power = PowerModel::for_device(&device);
             let res = PolicyResources::new(&predictor, &model, &power).with_device(&device);
             assert_eq!(res.device().name, device_name);

@@ -349,7 +349,7 @@ mod tests {
         let app = suite::maxflops();
         for name in harmonia_types::DeviceSpec::catalog() {
             let spec = harmonia_types::DeviceSpec::lookup(name).expect(name);
-            let m = IntervalModel::new(spec.gpu.clone());
+            let m = IntervalModel::new(spec.gpu);
             let s = Sensitivity::measure_on(spec.grid(), &m, &app.kernels[0]);
             assert!(s.cu.is_finite() && s.freq.is_finite() && s.bandwidth.is_finite(), "{name}");
             // MaxFlops stays compute-bound on every catalog part.

@@ -292,7 +292,7 @@ mod tests {
         let hd = IntervalModel::default();
         let hd_power = PowerModel::hd7970();
         let orin = DeviceSpec::lookup("jetson-orin").unwrap();
-        let orin_model = IntervalModel::new(orin.gpu.clone());
+        let orin_model = IntervalModel::new(orin.gpu);
         let orin_power = PowerModel::for_device(&orin);
         // Tight enough to clamp the hd7970s, but feasible: the jetson
         // floor is tiny next to the hd7970's.

@@ -383,7 +383,7 @@ mod tests {
         let hd = IntervalModel::new(hd7970.gpu);
         let hd_power = PowerModel::for_device(&hd7970);
         let v100 = DeviceSpec::v100();
-        let v100_model = IntervalModel::new(v100.gpu.clone());
+        let v100_model = IntervalModel::new(v100.gpu);
         let v100_power = PowerModel::for_device(&v100);
         let mut store = PlanStore::new(&hd, &hd_power);
         let class = store.add_class(&v100_model, &v100_power);

@@ -159,7 +159,7 @@ mod tests {
             .collect();
         assert_eq!(recorder.len(), 8);
 
-        let replay = ReplayModel::new(Replayer::new(recorder.events()), stack.gpu().clone());
+        let replay = ReplayModel::new(Replayer::new(recorder.events()), *stack.gpu());
         for (i, expected) in live.iter().enumerate() {
             let got = replay.simulate(if i % 2 == 0 { cfg } else { low }, &k, i as u64);
             assert_eq!(
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn exhausted_replay_returns_default_and_flags() {
-        let replay = ReplayModel::new(Replayer::new(vec![]), IntervalModel::default().gpu().clone());
+        let replay = ReplayModel::new(Replayer::new(vec![]), *IntervalModel::default().gpu());
         let r = replay.simulate(HwConfig::max_hd7970(), &kernel(), 0);
         assert_eq!(r.time.value(), 0.0);
         assert!(replay.replayer().error().is_some());

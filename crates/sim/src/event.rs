@@ -16,9 +16,10 @@
 //!
 //! Two mechanisms keep the model cheap enough for cold 448-config sweeps:
 //!
-//! * the future-event set lives in a [`CalendarQueue`] (O(1) amortized
-//!   insert/pop versus the binary heap's O(log n)), with the identical
-//!   deterministic `(time, wave id, kind)` total order;
+//! * the future-event set is a [`SlotQueue`], a tournament tree with one
+//!   slot per resident wave: each event refills or vacates the slot of the
+//!   event before it, replaying one leaf-to-root path, in the exact
+//!   deterministic `(time, wave id, kind)` order;
 //! * an optional steady-state fast-forward ([`FastForwardPolicy::Auto`])
 //!   watches the wave-completion throughput over residency-aligned windows
 //!   and, once consecutive windows agree within an epsilon, skips whole
@@ -28,13 +29,12 @@
 //!   [`FastForwardPolicy::Off`], which is bit-identical to the historical
 //!   always-step behaviour.
 
-use crate::calendar::CalendarQueue;
 use crate::counters::CounterSample;
 use crate::device::GpuDescriptor;
 use crate::model::{FastForwardStats, SimResult, TimingModel};
 use crate::occupancy::Occupancy;
 use crate::profile::KernelProfile;
-use crate::servers::{MemoryPath, SimdBank, WaveSet, PS};
+use crate::servers::{MemoryPath, SimdBank, SlotQueue, WaveSet, PS};
 use harmonia_types::{HwConfig, Seconds};
 
 /// Average L2 hit latency in compute cycles (matches the interval model).
@@ -144,11 +144,10 @@ impl Default for EventModel {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    ComputeDone,
-    MemDone,
-}
+/// A wave's compute block finished issuing on its SIMD ([`SlotQueue`] kind).
+const COMPUTE_DONE: u8 = 0;
+/// A wave's memory batch returned ([`SlotQueue`] kind).
+const MEM_DONE: u8 = 1;
 
 /// Per-window rates measured at a steady-state detection boundary, in units
 /// per picosecond.
@@ -300,17 +299,16 @@ impl EventModel {
         let mut memory = MemoryPath::new(gpu, cfg);
         let mut simd_bank = SimdBank::new(simds);
         let mut waves = WaveSet::with_capacity(sim_waves as usize);
-        // Events are spaced by roughly one compute block at steady state, so
-        // seed the calendar's bucket width with it (resizes self-correct).
-        let mut queue: CalendarQueue<(u32, EventKind)> = CalendarQueue::with_width(c_block_ps);
         let mut pending = sim_waves; // waves not yet dispatched
         let mut mem_residence_ps: u64 = 0;
         let mut mem_wait_ps: u64 = 0;
 
-        // Fill each SIMD to its occupancy limit.
+        // Fill each SIMD to its occupancy limit: one queue slot per
+        // resident wave.
         let slots = u64::from(occ.waves_per_simd);
-        'fill: for slot in 0..slots {
-            let _ = slot;
+        let resident = (slots * simds as u64).min(sim_waves) as usize;
+        let mut initial = Vec::with_capacity(resident);
+        'fill: for _slot in 0..slots {
             for simd in 0..simds {
                 if pending == 0 {
                     break 'fill;
@@ -319,9 +317,10 @@ impl EventModel {
                 let id = waves.dispatch(simd as u32, blocks);
                 // Start with a compute block at t=0 (queued on the SIMD).
                 let done = simd_bank.issue(simd, 0, c_block_ps);
-                queue.push(done, (id, EventKind::ComputeDone));
+                initial.push(SlotQueue::key(done, id, COMPUTE_DONE));
             }
         }
+        let mut queue = SlotQueue::new(initial);
 
         // --- event loop ------------------------------------------------------
         let mut detector = match self.fast_forward {
@@ -343,11 +342,12 @@ impl EventModel {
         let mut skip_time_ps: u64 = 0;
         let mut ff = FastForwardStats::default();
 
+        // Every event refills or vacates the slot it was popped from.
         let mut now: u64 = 0;
-        while let Some((t, (id, kind))) = queue.pop() {
+        while let Some((t, id, kind)) = queue.min() {
             now = t;
             match kind {
-                EventKind::ComputeDone => {
+                COMPUTE_DONE => {
                     if has_mem {
                         // Issue the memory batch for this block. Batches
                         // fully served by the caches cost latency only; the
@@ -361,17 +361,18 @@ impl EventModel {
                         };
                         mem_residence_ps += done - arrival;
                         mem_wait_ps += waited;
-                        queue.push(done, (id, EventKind::MemDone));
+                        queue.refill(done, id, MEM_DONE);
                     } else {
-                        queue.push(now, (id, EventKind::MemDone));
+                        queue.refill(now, id, MEM_DONE);
                     }
                 }
-                EventKind::MemDone => {
+                _ => {
+                    // MEM_DONE: the block's memory batch returned.
                     let simd = waves.simd(id) as usize;
                     if waves.retire_block(id) > 0 {
                         // Next compute block queues on the SIMD.
                         let done = simd_bank.issue(simd, now, c_block_ps);
-                        queue.push(done, (id, EventKind::ComputeDone));
+                        queue.refill(done, id, COMPUTE_DONE);
                         continue;
                     }
                     completed += 1;
@@ -380,7 +381,9 @@ impl EventModel {
                         pending -= 1;
                         let new_id = waves.dispatch(simd as u32, blocks);
                         let done = simd_bank.issue(simd, now, c_block_ps);
-                        queue.push(done, (new_id, EventKind::ComputeDone));
+                        queue.refill(done, new_id, COMPUTE_DONE);
+                    } else {
+                        queue.vacate();
                     }
                     let mut tripped = None;
                     if let Some(det) = detector.as_mut() {

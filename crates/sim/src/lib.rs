@@ -22,7 +22,13 @@
 //! * [`event`] — a discrete-event queueing model of the same machine
 //!   (SIMD issue arbitration, memory-channel servers, crossing server),
 //!   used to cross-validate the interval model.
-//! * [`model`] — the [`TimingModel`] trait unifying the two, including the
+//! * [`trace`] — seeded per-wave instruction traces and their replay, the
+//!   finest rung of the interval → event → trace fidelity ladder.
+//! * [`servers`] — the machine both event-driven models play out on (SIMD
+//!   bank, crossing and memory channels) and their future-event set, the
+//!   [`SlotQueue`](servers::SlotQueue): a tournament tree with one slot per
+//!   resident wave, since each wave has exactly one pending event.
+//! * [`model`] — the [`TimingModel`] trait unifying the three, including the
 //!   batched `simulate_batch` entry point.
 //! * [`batch`] — batched config-grid sweeps: [`SweepPlan`] with per-scale
 //!   decision memoization and incremental (frontier-only) re-sweeps driven
@@ -52,7 +58,6 @@
 //! ```
 
 pub mod batch;
-pub mod calendar;
 pub mod counters;
 pub mod device;
 pub mod event;
@@ -71,7 +76,6 @@ pub use batch::{
     Decision, DecisionKind, PlanStats, ScaleKeyHasher, SweepObjective, SweepPlan, SweepPoint,
     SweepTerms,
 };
-pub use calendar::CalendarQueue;
 pub use counters::CounterSample;
 pub use device::{GpuDescriptor, GridSpec};
 pub use event::{EventModel, FastForwardPolicy};

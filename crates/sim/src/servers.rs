@@ -6,12 +6,13 @@
 //! controller clock-domain crossing (a single server running at the compute
 //! clock) followed by one of the round-robin memory channels, plus the DRAM
 //! access latency. [`MemoryPath`] owns that pipeline and its busy/wait
-//! accounting.
+//! accounting. [`SlotQueue`] is both models' future-event set.
 
 use crate::device::GpuDescriptor;
 use harmonia_types::HwConfig;
+use std::hint::select_unpredictable;
 
-/// Picoseconds per second — integer event time keeps heap ordering exact.
+/// Picoseconds per second — integer event time keeps event ordering exact.
 pub const PS: f64 = 1.0e12;
 
 /// The L2→MC crossing plus memory-channel service pipeline.
@@ -125,7 +126,8 @@ impl SimdBank {
 /// `Vec<Wave {simd, blocks_left}>` into parallel arrays keeps each access on
 /// a dense homogeneous cache line and drops the per-event struct churn.
 /// Waves are identified by their dense dispatch index (`u32`), which is also
-/// the deterministic FIFO tie-break in the event queue.
+/// the deterministic tie-break between simultaneous events in the
+/// [`SlotQueue`].
 #[derive(Debug, Clone, Default)]
 pub struct WaveSet {
     simd: Vec<u32>,
@@ -174,10 +176,136 @@ impl WaveSet {
     }
 }
 
+/// Key of a vacant [`SlotQueue`] slot. It sorts after every event key: an
+/// event's wave id and kind fill only the low 33 bits.
+const VACANT: u128 = u128::MAX;
+
+/// The future-event set of the event-driven models: a loser (tournament)
+/// tree over resident-wave slots.
+///
+/// Both models follow a hold discipline. Each resident wave has exactly one
+/// pending event, and every pop is followed by at most one push, for the
+/// same wave or for the wave dispatched into its slot. So the queue is a
+/// fixed set of slots, built once from the initial fill, and "pop, then
+/// push" becomes "read the minimum, then refill or vacate its slot". Either
+/// replays one leaf-to-root path, where the running winner plays the loser
+/// stored at each node: at most ⌈log₂ slots⌉ levels.
+///
+/// An event `(time, wave id, kind)` is packed into one `u128` key: time in
+/// the high 64 bits, then the `u32` wave id, then a one-bit kind. Ties on
+/// time break by wave id, then kind, which is the order a min-heap over the
+/// tuple pops in, so the queue is exact.
+#[derive(Debug, Clone)]
+pub struct SlotQueue {
+    /// `losers[0]` is the slot holding the minimum key; node `j` in
+    /// `1..slots` holds the slot that lost the match there. Leaf `i` is
+    /// node `slots + i`, and node `j`'s parent is `j / 2`.
+    losers: Vec<u32>,
+    /// Pending event key of each slot, [`VACANT`] once the slot is empty.
+    keys: Vec<u128>,
+}
+
+impl SlotQueue {
+    /// Builds the queue over one pending event per slot, each packed by
+    /// [`SlotQueue::key`]. An empty fill gives an empty queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more slots than `u32` indices.
+    pub fn new(mut keys: Vec<u128>) -> Self {
+        assert!(
+            u32::try_from(keys.len()).is_ok(),
+            "slot indices must fit in u32"
+        );
+        if keys.is_empty() {
+            keys.push(VACANT);
+        }
+        let mut queue = Self {
+            losers: vec![0; keys.len()],
+            keys,
+        };
+        queue.losers[0] = queue.play(1);
+        queue
+    }
+
+    /// Plays out the matches under `node`, storing each loser; returns the
+    /// subtree's winner.
+    fn play(&mut self, node: usize) -> u32 {
+        let slots = self.keys.len();
+        if node >= slots {
+            return (node - slots) as u32;
+        }
+        let a = self.play(2 * node);
+        let b = self.play(2 * node + 1);
+        let (winner, loser) = if self.keys[b as usize] < self.keys[a as usize] {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        self.losers[node] = loser;
+        winner
+    }
+
+    /// Packs the event `(time, wave, kind)`; `kind` is 0 or 1.
+    #[inline]
+    pub fn key(time: u64, wave: u32, kind: u8) -> u128 {
+        debug_assert!(kind <= 1, "event kinds are one bit");
+        (u128::from(time) << 64) | (u128::from(wave) << 1) | u128::from(kind)
+    }
+
+    /// The earliest pending event as `(time, wave, kind)`, or `None` once
+    /// every slot is vacant.
+    #[inline]
+    pub fn min(&self) -> Option<(u64, u32, u8)> {
+        let key = self.keys[self.losers[0] as usize];
+        (key != VACANT).then_some(((key >> 64) as u64, (key >> 1) as u32, (key & 1) as u8))
+    }
+
+    /// Replaces the earliest event with the next event of its slot.
+    #[inline]
+    pub fn refill(&mut self, time: u64, wave: u32, kind: u8) {
+        self.replay(Self::key(time, wave, kind));
+    }
+
+    /// Removes the earliest event and leaves its slot empty.
+    #[inline]
+    pub fn vacate(&mut self) {
+        self.replay(VACANT);
+    }
+
+    /// Stores `key` in the minimum's slot and replays its leaf-to-root path.
+    ///
+    /// Each level's compare-and-swap is a conditional move, not a branch:
+    /// which slot goes on up is data-dependent and mispredicts often. Plain
+    /// mask arithmetic is not enough, since the optimizer turns it back
+    /// into a branch; `select_unpredictable` keeps it a select.
+    #[inline]
+    fn replay(&mut self, key: u128) {
+        let slots = self.keys.len();
+        let mut winner = self.losers[0];
+        self.keys[winner as usize] = key;
+        let mut win_key = key;
+        let mut node = (slots + winner as usize) >> 1;
+        while node > 0 {
+            let loser = self.losers[node];
+            let lose_key = self.keys[loser as usize];
+            let swap = lose_key < win_key;
+            self.losers[node] = select_unpredictable(swap, winner, loser);
+            winner = select_unpredictable(swap, loser, winner);
+            win_key = select_unpredictable(swap, lose_key, win_key);
+            node >>= 1;
+        }
+        self.losers[0] = winner;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use harmonia_types::HwConfig;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn path() -> MemoryPath {
         MemoryPath::new(&GpuDescriptor::hd7970(), HwConfig::max_hd7970())
@@ -266,5 +394,118 @@ mod tests {
         assert_eq!(ws.retire_block(a), 1);
         assert_eq!(ws.retire_block(a), 0, "second block completes the wave");
         assert_eq!(ws.retire_block(b), 0);
+    }
+
+    #[test]
+    fn empty_fill_is_an_empty_queue() {
+        assert_eq!(SlotQueue::new(Vec::new()).min(), None);
+    }
+
+    #[test]
+    fn keys_round_trip_time_wave_and_kind() {
+        let q = SlotQueue::new(vec![SlotQueue::key(u64::MAX, u32::MAX, 1)]);
+        assert_eq!(
+            q.min(),
+            Some((u64::MAX, u32::MAX, 1)),
+            "the largest key is not vacant"
+        );
+    }
+
+    #[test]
+    fn ties_on_time_break_by_wave_then_kind() {
+        let mut q = SlotQueue::new(vec![
+            SlotQueue::key(5, 2, 0),
+            SlotQueue::key(5, 1, 1),
+            SlotQueue::key(9, 0, 0),
+            SlotQueue::key(5, 1, 0),
+            SlotQueue::key(3, 7, 1),
+        ]);
+        let mut order = Vec::new();
+        while let Some(event) = q.min() {
+            order.push(event);
+            q.vacate();
+        }
+        assert_eq!(
+            order,
+            [(3, 7, 1), (5, 1, 0), (5, 1, 1), (5, 2, 0), (9, 0, 0)]
+        );
+    }
+
+    /// Drives a [`SlotQueue`] and the `BinaryHeap` reference through the
+    /// models' hold discipline. `initial` fills one slot per entry, wave ids
+    /// in fill order. After each pop the next step refills the popped slot
+    /// `delay` after the popped time, with the same wave (`action` 0–3) or a
+    /// freshly dispatched one (4–6), or vacates it (7); once the steps run
+    /// out every pop vacates, draining the queue. Both must pop the same
+    /// `(time, wave)` sequence, and each event's kind (the wave's low bit
+    /// here) must come back intact.
+    fn hold_differential(initial: &[u64], steps: &[(u8, u64)]) {
+        let key = |time: u64, wave: u32| SlotQueue::key(time, wave, (wave & 1) as u8);
+        let mut queue = SlotQueue::new((0u32..).zip(initial).map(|(w, &t)| key(t, w)).collect());
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0u32..)
+            .zip(initial)
+            .map(|(w, &t)| Reverse((t, w)))
+            .collect();
+        let mut next_wave = initial.len() as u32;
+        let mut steps = steps.iter();
+        loop {
+            let popped = queue.min().map(|(t, w, kind)| {
+                assert_eq!(kind, (w & 1) as u8, "kind of wave {w}");
+                (t, w)
+            });
+            let expected = heap.pop().map(|Reverse(event)| event);
+            assert_eq!(popped, expected);
+            let Some((now, wave)) = expected else {
+                break;
+            };
+            let refill = match steps.next() {
+                Some(&(action, delay)) if action < 4 => Some((now + delay, wave)),
+                Some(&(action, delay)) if action < 7 => {
+                    next_wave += 1;
+                    Some((now + delay, next_wave - 1))
+                }
+                _ => None,
+            };
+            match refill {
+                Some((time, wave)) => {
+                    queue.refill(time, wave, (wave & 1) as u8);
+                    heap.push(Reverse((time, wave)));
+                }
+                None => queue.vacate(),
+            }
+        }
+    }
+
+    #[test]
+    fn single_slot_pops_its_own_refills_then_drains() {
+        hold_differential(&[7], &[(0, 3), (4, 0), (5, 10), (0, 0), (7, 0)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matches_the_binary_heap_under_the_hold_discipline(
+            initial in proptest::collection::vec(0u64..1 << 40, 1..300),
+            steps in proptest::collection::vec((0u8..8, 0u64..1 << 30), 0..2000),
+        ) {
+            hold_differential(&initial, &steps);
+        }
+
+        #[test]
+        fn matches_the_binary_heap_under_heavy_timestamp_ties(
+            initial in proptest::collection::vec(0u64..4, 1..128),
+            steps in proptest::collection::vec((0u8..8, 0u64..3), 0..1000),
+        ) {
+            hold_differential(&initial, &steps);
+        }
+
+        #[test]
+        fn matches_the_binary_heap_on_a_single_slot(
+            start in 0u64..1000,
+            steps in proptest::collection::vec((0u8..8, 0u64..4), 0..100),
+        ) {
+            hold_differential(&[start], &steps);
+        }
     }
 }

@@ -9,6 +9,12 @@
 //! event model uses (SIMD issue serialization, the L2→MC crossing, memory
 //! channels, DRAM latency) at *operation* granularity.
 //!
+//! Its future-event set is the event model's too: a [`SlotQueue`] with one
+//! slot per resident wave. A wave has one op in flight at a time, so each
+//! completion refills its slot with the wave's next op, or with the first
+//! op of the wave dispatched in its place, or vacates it; events pop in
+//! exact `(time, wave id)` order.
+//!
 //! The three models form a fidelity ladder — interval (closed form) →
 //! event (uniform blocks) → trace (jittered operations) — and are
 //! cross-validated against each other in tests and in the `ablations`
@@ -20,13 +26,11 @@ use crate::device::GpuDescriptor;
 use crate::model::{SimResult, TimingModel};
 use crate::occupancy::Occupancy;
 use crate::profile::KernelProfile;
-use crate::servers::{MemoryPath, SimdBank};
+use crate::servers::{MemoryPath, SimdBank, SlotQueue};
 use harmonia_types::{HwConfig, Seconds};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::servers::PS;
 /// Average L2 hit latency in compute cycles (matches the other models).
@@ -251,20 +255,87 @@ impl Default for TraceModel {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    IssueDone,
-    MemDone,
-}
-
 struct WaveState {
     simd: usize,
     trace: WaveTrace,
     next_op: usize,
 }
 
+/// The machine a trace replays on: the servers, the run's rates, and the
+/// counters the replay accumulates.
+struct Replay {
+    simd_bank: SimdBank,
+    memory: MemoryPath,
+    cycles_per_inst: f64,
+    f_cu: f64,
+    l1_hit: f64,
+    l2_hit: f64,
+    l2_latency_ps: u64,
+    l1_latency_ps: u64,
+    lds_latency_ps: u64,
+    mem_residence_ps: u64,
+    mem_wait_ps: u64,
+    dram_bytes_sim: f64,
+    valu_insts_sim: u64,
+}
+
+impl Replay {
+    /// Puts `wave`'s next op on the machine at `now`; returns the time the
+    /// op completes, or `None` once the wave's trace is exhausted.
+    fn advance(&mut self, wave: &mut WaveState, now: u64) -> Option<u64> {
+        let op = wave.trace.ops.get(wave.next_op).copied()?;
+        wave.next_op += 1;
+        Some(match op {
+            TraceOp::Valu { count } => {
+                // Divergence is already encoded in the *executed*
+                // instruction counts (both sides of divergent branches),
+                // exactly as in the interval/event models.
+                let cycles = self.cycles_per_inst * f64::from(count);
+                let dur = ((cycles / self.f_cu) * PS).max(1.0) as u64;
+                self.valu_insts_sim += u64::from(count);
+                self.simd_bank.issue(wave.simd, now, dur)
+            }
+            TraceOp::Salu { count } => {
+                // Scalar work issues on the scalar unit: cheap, partly
+                // overlapped; modelled as a quarter-rate issue cost.
+                let cycles = f64::from(count) * 0.25;
+                let dur = ((cycles / self.f_cu) * PS).max(1.0) as u64;
+                now + dur
+            }
+            TraceOp::Lds { count } => {
+                let dur = self.lds_latency_ps.saturating_mul(u64::from(count.min(64))) / 8
+                    + self.lds_latency_ps;
+                now + dur
+            }
+            TraceOp::Fetch { bytes } | TraceOp::Write { bytes } => {
+                // Filter through the cache hierarchy (expected values).
+                let l2_bytes = f64::from(bytes) * (1.0 - self.l1_hit);
+                let dram = l2_bytes * (1.0 - self.l2_hit);
+                self.dram_bytes_sim += dram;
+                if dram < 1.0 {
+                    // Served by caches: latency only.
+                    let lat = if l2_bytes >= 1.0 {
+                        self.l2_latency_ps
+                    } else {
+                        self.l1_latency_ps
+                    };
+                    now + lat
+                } else {
+                    let (done, wait) = self.memory.service(now, dram);
+                    self.mem_residence_ps += done - now;
+                    self.mem_wait_ps += wait;
+                    done
+                }
+            }
+        })
+    }
+}
+
+/// The [`SlotQueue`] kind of every trace event. A wave has one pending
+/// event, its current op, so `(time, wave id)` alone orders the queue.
+const OP_DONE: u8 = 0;
+
 impl TimingModel for TraceModel {
-    #[allow(clippy::too_many_lines)]
     fn simulate(&self, cfg: HwConfig, kernel: &KernelProfile, iteration: u64) -> SimResult {
         let gpu = &self.gpu;
         let n_cu = cfg.compute.cu_count();
@@ -275,187 +346,75 @@ impl TimingModel for TraceModel {
         let total_waves = kernel.waves(gpu.wave_size).max(1);
         let sim_waves = total_waves.min(self.max_waves);
         let scale_factor = total_waves as f64 / sim_waves as f64;
+        assert!(
+            sim_waves <= u64::from(u32::MAX),
+            "simulated wave ids must fit in u32"
+        );
 
-        let cycles_per_inst = f64::from(gpu.wave_size) / f64::from(gpu.lanes_per_simd);
         let l2_hit = kernel.l2_hit_rate_at(n_cu, gpu.max_cu);
-        let l1_hit = kernel.l1_hit_rate;
-
-        let l2_latency_ps = (L2_HIT_LATENCY_CYCLES / f_cu * PS) as u64;
-        let l1_latency_ps = (L1_HIT_LATENCY_CYCLES / f_cu * PS) as u64;
-        let lds_latency_ps = (LDS_LATENCY_CYCLES / f_cu * PS) as u64;
-
-        let mut simd_bank = SimdBank::new(simds);
-        let mut memory = MemoryPath::new(gpu, cfg);
-        let mut mem_residence_ps = 0u64;
-        let mut mem_wait_ps = 0u64;
-        let mut dram_bytes_sim = 0.0f64;
-        let mut valu_insts_sim = 0u64;
-
-        let mut waves: Vec<WaveState> = Vec::with_capacity(sim_waves as usize);
-        let mut heap: BinaryHeap<Reverse<(u64, usize, Ev)>> = BinaryHeap::new();
-        let mut pending = sim_waves;
-        let slots = u64::from(occ.waves_per_simd);
-
-        // Dispatch helper: put a wave's next op on the machine.
-        #[allow(clippy::too_many_arguments)]
-        fn advance(
-            w: usize,
-            now: u64,
-            waves: &mut [WaveState],
-            heap: &mut BinaryHeap<Reverse<(u64, usize, Ev)>>,
-            simd_bank: &mut SimdBank,
-            memory: &mut MemoryPath,
-            mem_residence_ps: &mut u64,
-            mem_wait_ps: &mut u64,
-            dram_bytes_sim: &mut f64,
-            valu_insts_sim: &mut u64,
-            rates: &Rates,
-        ) -> bool {
-            let wave = &mut waves[w];
-            let Some(op) = wave.trace.ops.get(wave.next_op).copied() else {
-                return false; // wave complete
-            };
-            wave.next_op += 1;
-            match op {
-                TraceOp::Valu { count } => {
-                    // Divergence is already encoded in the *executed*
-                    // instruction counts (both sides of divergent branches),
-                    // exactly as in the interval/event models.
-                    let cycles = rates.cycles_per_inst * f64::from(count);
-                    let dur = ((cycles / rates.f_cu) * PS).max(1.0) as u64;
-                    let done = simd_bank.issue(wave.simd, now, dur);
-                    *valu_insts_sim += u64::from(count);
-                    heap.push(Reverse((done, w, Ev::IssueDone)));
-                }
-                TraceOp::Salu { count } => {
-                    // Scalar work issues on the scalar unit: cheap, partly
-                    // overlapped; modelled as a quarter-rate issue cost.
-                    let cycles = f64::from(count) * 0.25;
-                    let dur = ((cycles / rates.f_cu) * PS).max(1.0) as u64;
-                    heap.push(Reverse((now + dur, w, Ev::IssueDone)));
-                }
-                TraceOp::Lds { count } => {
-                    let dur = rates.lds_latency_ps.saturating_mul(u64::from(count.min(64)))
-                        / 8
-                        + rates.lds_latency_ps;
-                    heap.push(Reverse((now + dur, w, Ev::MemDone)));
-                }
-                TraceOp::Fetch { bytes } | TraceOp::Write { bytes } => {
-                    // Filter through the cache hierarchy (expected values).
-                    let l2_bytes = f64::from(bytes) * (1.0 - rates.l1_hit);
-                    let dram = l2_bytes * (1.0 - rates.l2_hit);
-                    *dram_bytes_sim += dram;
-                    if dram < 1.0 {
-                        // Served by caches: latency only.
-                        let lat = if l2_bytes >= 1.0 {
-                            rates.l2_latency_ps
-                        } else {
-                            rates.l1_latency_ps
-                        };
-                        heap.push(Reverse((now + lat, w, Ev::MemDone)));
-                    } else {
-                        let (done, wait) = memory.service(now, dram);
-                        *mem_residence_ps += done - now;
-                        *mem_wait_ps += wait;
-                        heap.push(Reverse((done, w, Ev::MemDone)));
-                    }
-                }
-            }
-            true
-        }
-
-        struct Rates {
-            cycles_per_inst: f64,
-            f_cu: f64,
-            l1_hit: f64,
-            l2_hit: f64,
-            l2_latency_ps: u64,
-            l1_latency_ps: u64,
-            lds_latency_ps: u64,
-        }
-        let rates = Rates {
-            cycles_per_inst,
+        let mut replay = Replay {
+            simd_bank: SimdBank::new(simds),
+            memory: MemoryPath::new(gpu, cfg),
+            cycles_per_inst: f64::from(gpu.wave_size) / f64::from(gpu.lanes_per_simd),
             f_cu,
-            l1_hit,
+            l1_hit: kernel.l1_hit_rate,
             l2_hit,
-            l2_latency_ps,
-            l1_latency_ps,
-            lds_latency_ps,
+            l2_latency_ps: (L2_HIT_LATENCY_CYCLES / f_cu * PS) as u64,
+            l1_latency_ps: (L1_HIT_LATENCY_CYCLES / f_cu * PS) as u64,
+            lds_latency_ps: (LDS_LATENCY_CYCLES / f_cu * PS) as u64,
+            mem_residence_ps: 0,
+            mem_wait_ps: 0,
+            dram_bytes_sim: 0.0,
+            valu_insts_sim: 0,
+        };
+        let mut waves: Vec<WaveState> = Vec::with_capacity(sim_waves as usize);
+        let mut pending = sim_waves;
+        let dispatch = |waves: &mut Vec<WaveState>, simd: usize| {
+            let id = waves.len();
+            let trace = self.generator.wave_trace(kernel, gpu, id as u64, iteration);
+            waves.push(WaveState {
+                simd,
+                trace,
+                next_op: 0,
+            });
+            id
         };
 
-        // Initial fill to the occupancy limit.
+        // Initial fill to the occupancy limit: one queue slot per resident
+        // wave with an op to run.
+        let slots = u64::from(occ.waves_per_simd);
+        let mut initial = Vec::with_capacity((slots * simds as u64).min(sim_waves) as usize);
         'fill: for _slot in 0..slots {
             for simd in 0..simds {
                 if pending == 0 {
                     break 'fill;
                 }
                 pending -= 1;
-                let id = waves.len();
-                let wave_index = id as u64;
-                waves.push(WaveState {
-                    simd,
-                    trace: self
-                        .generator
-                        .wave_trace(kernel, gpu, wave_index, iteration),
-                    next_op: 0,
-                });
-                let _ = advance(
-                    id,
-                    0,
-                    &mut waves,
-                    &mut heap,
-                    &mut simd_bank,
-                    &mut memory,
-                    &mut mem_residence_ps,
-                    &mut mem_wait_ps,
-                    &mut dram_bytes_sim,
-                    &mut valu_insts_sim,
-                    &rates,
-                );
+                let id = dispatch(&mut waves, simd);
+                if let Some(done) = replay.advance(&mut waves[id], 0) {
+                    initial.push(SlotQueue::key(done, id as u32, OP_DONE));
+                }
             }
         }
+        let mut queue = SlotQueue::new(initial);
 
+        // Every event refills its slot with the wave's next op, or with the
+        // first op of the wave dispatched in its place, or vacates it.
         let mut now = 0u64;
-        while let Some(Reverse((t, id, _ev))) = heap.pop() {
+        while let Some((t, id, _)) = queue.min() {
             now = t;
-            let progressed = advance(
-                id,
-                now,
-                &mut waves,
-                &mut heap,
-                &mut simd_bank,
-                &mut memory,
-                &mut mem_residence_ps,
-                &mut mem_wait_ps,
-                &mut dram_bytes_sim,
-                &mut valu_insts_sim,
-                &rates,
-            );
-            if !progressed && pending > 0 {
+            let mut wave = id as usize;
+            let mut next = replay.advance(&mut waves[wave], now);
+            if next.is_none() && pending > 0 {
                 // Wave finished: dispatch a fresh one into its slot.
                 pending -= 1;
-                let simd = waves[id].simd;
-                let new_id = waves.len();
-                waves.push(WaveState {
-                    simd,
-                    trace: self
-                        .generator
-                        .wave_trace(kernel, gpu, new_id as u64, iteration),
-                    next_op: 0,
-                });
-                let _ = advance(
-                    new_id,
-                    now,
-                    &mut waves,
-                    &mut heap,
-                    &mut simd_bank,
-                    &mut memory,
-                    &mut mem_residence_ps,
-                    &mut mem_wait_ps,
-                    &mut dram_bytes_sim,
-                    &mut valu_insts_sim,
-                    &rates,
-                );
+                let simd = waves[wave].simd;
+                wave = dispatch(&mut waves, simd);
+                next = replay.advance(&mut waves[wave], now);
+            }
+            match next {
+                Some(done) => queue.refill(done, wave as u32, OP_DONE),
+                None => queue.vacate(),
             }
         }
 
@@ -463,16 +422,16 @@ impl TimingModel for TraceModel {
         let t_sim = now as f64 / PS;
         let overhead = kernel.launch_overhead_us * 1.0e-6;
         let t_total = t_sim * scale_factor + overhead;
-        let dram_bytes = dram_bytes_sim * scale_factor;
+        let dram_bytes = replay.dram_bytes_sim * scale_factor;
         let achieved_bw = dram_bytes / t_total;
         let peak_theoretical = cfg.memory.peak_bandwidth_on(&gpu.grid).as_bytes_per_sec();
 
         let valu_busy =
-            simd_bank.busy_total() as f64 / PS / (simds as f64 * t_sim.max(1e-12));
+            replay.simd_bank.busy_total() as f64 / PS / (simds as f64 * t_sim.max(1e-12));
         let mem_busy =
-            (mem_residence_ps as f64 / PS / (f64::from(n_cu) * t_sim.max(1e-12))).min(1.0);
+            (replay.mem_residence_ps as f64 / PS / (f64::from(n_cu) * t_sim.max(1e-12))).min(1.0);
         let mem_stalled =
-            (mem_wait_ps as f64 / PS / (f64::from(n_cu) * t_sim.max(1e-12))).min(mem_busy);
+            (replay.mem_wait_ps as f64 / PS / (f64::from(n_cu) * t_sim.max(1e-12))).min(mem_busy);
 
         let scale = kernel.phase.scale_for(iteration);
         let items = kernel.workitems as f64;
@@ -497,7 +456,8 @@ impl TimingModel for TraceModel {
             // Trace ops count *wavefront* instructions; the counter reports
             // per-item totals like the other models (one wave instruction
             // covers `wave_size` work-items).
-            valu_insts: (valu_insts_sim as f64 * f64::from(gpu.wave_size) * scale_factor) as u64,
+            valu_insts: (replay.valu_insts_sim as f64 * f64::from(gpu.wave_size) * scale_factor)
+                as u64,
             vfetch_insts: (kernel.vfetch_insts_per_item * scale.memory * items) as u64,
             vwrite_insts: (kernel.vwrite_insts_per_item * scale.memory * items) as u64,
             dram_bytes,

@@ -78,7 +78,7 @@ fn shared_store_results_are_bit_identical_to_solo_runs() {
         // this is the N-independent-solo-runs reference.
         let solo = FleetScheduler::new(&model, &power, FleetSpec::Oracle)
             .with_ticks(TICKS)
-            .run(&[app.clone()])
+            .run(std::slice::from_ref(app))
             .report;
         let fleet_dev = &shared.per_device[i];
         let solo_dev = &solo.per_device[0];
