@@ -25,6 +25,7 @@
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_types::{GridSpec, HwConfig, Tunable};
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 
 /// Relative throughput drop treated as a performance degradation.
 const DEGRADATION_TOLERANCE: f64 = 0.01;
@@ -147,10 +148,45 @@ impl FgState {
     }
 }
 
+/// An ordered set of tunables held inline: at most the three of
+/// [`Tunable::ALL`]. The FG block plans every move with these (its managed
+/// tunables, the probe candidates, the blamed and the recovery targets), so
+/// a step never touches the heap.
+#[derive(Debug, Clone, Copy)]
+struct Tunables {
+    items: [Tunable; 3],
+    len: usize,
+}
+
+impl FromIterator<Tunable> for Tunables {
+    /// Collects the distinct tunables, in first-seen order.
+    fn from_iter<I: IntoIterator<Item = Tunable>>(iter: I) -> Self {
+        let mut set = Self {
+            items: Tunable::ALL,
+            len: 0,
+        };
+        for t in iter {
+            if !set.contains(&t) {
+                set.items[set.len] = t;
+                set.len += 1;
+            }
+        }
+        set
+    }
+}
+
+impl Deref for Tunables {
+    type Target = [Tunable];
+
+    fn deref(&self) -> &[Tunable] {
+        &self.items[..self.len]
+    }
+}
+
 /// The FG decision block.
 #[derive(Debug, Clone)]
 pub struct FineGrain {
-    tunables: Vec<Tunable>,
+    tunables: Tunables,
     max_dither: u32,
     grid: GridSpec,
 }
@@ -162,10 +198,11 @@ impl FineGrain {
         Self::with_tunables(Tunable::ALL.to_vec())
     }
 
-    /// Creates an FG block managing only `tunables`.
+    /// Creates an FG block managing only `tunables` (a repeated entry is
+    /// managed once).
     pub fn with_tunables(tunables: Vec<Tunable>) -> Self {
         Self {
-            tunables,
+            tunables: tunables.into_iter().collect(),
             max_dither: 2,
             grid: GridSpec::HD7970,
         }
@@ -245,11 +282,10 @@ impl FineGrain {
                 // The climb is paying off (recovering from a misprediction):
                 // keep climbing the same tunables until the gradient
                 // flattens.
-                let targets: Vec<Tunable> =
-                    state.last_moves.iter().map(|(t, _)| *t).collect();
+                let targets: Tunables = state.last_moves.iter().map(|(t, _)| *t).collect();
                 state.last_moves.clear();
                 let mut next = cfg;
-                for t in targets {
+                for &t in targets.iter() {
                     if let Some(up) = next.step_up_on(&self.grid, t) {
                         next = up;
                         state.last_moves.push((t, Direction::Up));
@@ -278,19 +314,14 @@ impl FineGrain {
                 });
                 return best;
             }
-            let blamed: Vec<Tunable> = state
-                .last_moves
-                .iter()
-                .filter(|(_, d)| *d == Direction::Down)
-                .map(|(t, _)| *t)
-                .collect();
-            let next = self.step_upward(state, cfg);
+            let blamed = blamed_tunables(&state.last_moves);
+            let next = self.step_upward(state, cfg, blamed);
             trace.emit(|| TraceEvent::FgRevert {
                 kernel: kernel.to_string(),
                 iteration,
                 from: cfg.into(),
                 to: next.into(),
-                blamed: blamed.clone(),
+                blamed: blamed.to_vec(),
             });
             next
         }
@@ -308,7 +339,7 @@ impl FineGrain {
     ) -> HwConfig {
         state.last_moves.clear();
         let mut next = cfg;
-        let candidates: Vec<Tunable> = self
+        let candidates: Tunables = self
             .tunables
             .iter()
             .copied()
@@ -338,7 +369,7 @@ impl FineGrain {
                 state.freeze(t);
             }
         } else {
-            for &t in &candidates {
+            for &t in candidates.iter() {
                 if let Some(down) = next.step_down_on(&self.grid, t) {
                     next = down;
                     state.last_moves.push((t, Direction::Down));
@@ -356,7 +387,7 @@ impl FineGrain {
                 });
                 state.last_moves.clear();
                 next = cfg;
-                for &t in &candidates {
+                for &t in candidates.iter() {
                     if let Some(down) = cfg.step_down_on(&self.grid, t) {
                         if !state.bad.contains(&down) {
                             next = down;
@@ -370,27 +401,22 @@ impl FineGrain {
         next
     }
 
-    /// Increment move: undo the blamed probe, or climb when the degradation
-    /// was not our doing (e.g. a coarse-grain misprediction).
-    fn step_upward(&self, state: &mut FgState, cfg: HwConfig) -> HwConfig {
+    /// Increment move: undo the `blamed` probe (the previous move's
+    /// downward steps), or climb when the degradation was not our doing
+    /// (e.g. a coarse-grain misprediction).
+    fn step_upward(&self, state: &mut FgState, cfg: HwConfig, blamed: Tunables) -> HwConfig {
         let mut next = cfg;
-        let blamed: Vec<Tunable> = state
-            .last_moves
-            .iter()
-            .filter(|(_, d)| *d == Direction::Down)
-            .map(|(t, _)| *t)
-            .collect();
         state.last_moves.clear();
         if blamed.len() > 1 {
             state.sequential = true;
         }
-        let targets: Vec<Tunable> = if blamed.is_empty() {
+        let targets = if blamed.is_empty() {
             // Nothing to blame: recover by raising every managed tunable.
-            self.tunables.clone()
+            self.tunables
         } else {
             blamed
         };
-        for t in targets {
+        for &t in targets.iter() {
             if let Some(up) = next.step_up_on(&self.grid, t) {
                 next = up;
                 state.last_moves.push((t, Direction::Up));
@@ -404,6 +430,15 @@ impl Default for FineGrain {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The tunables `moves` stepped down: the ones a degradation blames.
+fn blamed_tunables(moves: &[(Tunable, Direction)]) -> Tunables {
+    moves
+        .iter()
+        .filter(|(_, d)| *d == Direction::Down)
+        .map(|(t, _)| *t)
+        .collect()
 }
 
 /// Emits an [`TraceEvent::FgProbe`] for a move from `from` to `to` (no-op

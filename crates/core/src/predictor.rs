@@ -204,7 +204,7 @@ impl SensitivityPredictor {
         let bw_x: Vec<Vec<f64>> = data
             .rows
             .iter()
-            .map(|r| r.counters.bandwidth_features())
+            .map(|r| r.counters.bandwidth_features().to_vec())
             .collect();
         let bw_y: Vec<f64> = data.rows.iter().map(|r| r.measured.bandwidth).collect();
         let bw_fit = Ols::fit(&bw_x, &bw_y)?;
@@ -212,7 +212,7 @@ impl SensitivityPredictor {
         let c_x: Vec<Vec<f64>> = data
             .rows
             .iter()
-            .map(|r| r.counters.compute_features())
+            .map(|r| r.counters.compute_features().to_vec())
             .collect();
         let cu_y: Vec<f64> = data.rows.iter().map(|r| r.measured.cu).collect();
         let cu_fit = Ols::fit(&c_x, &cu_y)?;

@@ -1,8 +1,10 @@
 //! The combined card power model and its observable breakdown.
 
-use crate::compute::{chip_power, ComputePowerParams};
-use crate::memory::{memory_power_at, MemoryPowerParams};
-use harmonia_types::{DeviceSpec, DvfsTable, GridSpec, HwConfig, Watts};
+use crate::compute::{
+    chip_power_from, mem_controller_clock, ComputeClockTerms, ComputePowerParams,
+};
+use crate::memory::{memory_power_from, MemoryClockTerms, MemoryPowerParams};
+use harmonia_types::{DeviceSpec, DvfsTable, GridSpec, HwConfig, MegaHertz, Watts};
 use serde::{Deserialize, Serialize};
 
 /// Activity factors the power model consumes, produced by the simulator's
@@ -108,9 +110,10 @@ impl PowerBreakdown {
     }
 }
 
-/// The calibrated card power model of one device (default: the HD7970).
+/// What a [`PowerModel`] is: one device's calibration and grid. It alone
+/// defines the model's equality and serialized form.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PowerModel {
+struct Calibration {
     compute: ComputePowerParams,
     memory: MemoryPowerParams,
     dvfs: DvfsTable,
@@ -118,28 +121,119 @@ pub struct PowerModel {
     grid: GridSpec,
 }
 
+/// A memory bus clock's clock-only terms: the DRAM side's and the
+/// integrated memory controller's.
+#[derive(Debug, Clone, Copy)]
+struct MemoryClock {
+    dram: MemoryClockTerms,
+    mem_controller: f64,
+}
+
+/// The clock-only power terms at every clock step of a calibration's grid,
+/// ascending from the grid's minimum. Derived state: built whenever the
+/// calibration or the grid is set.
+#[derive(Debug, Clone)]
+struct ClockTables {
+    compute: Vec<ComputeClockTerms>,
+    memory: Vec<MemoryClock>,
+}
+
+/// The position of `freq` on the clock lattice `min + k·step`, if on it.
+fn step_index(freq: MegaHertz, min: MegaHertz, step: u32) -> Option<usize> {
+    let offset = freq.value().checked_sub(min.value())?;
+    (offset.checked_rem(step)? == 0).then(|| (offset / step) as usize)
+}
+
+impl Calibration {
+    fn compute_clock(&self, freq: MegaHertz) -> ComputeClockTerms {
+        ComputeClockTerms::at(&self.compute, &self.dvfs, freq)
+    }
+
+    fn memory_clock(&self, bus_freq: MegaHertz) -> MemoryClock {
+        MemoryClock {
+            dram: MemoryClockTerms::at(&self.memory, bus_freq, self.grid.mem_freq_max.as_ghz()),
+            mem_controller: mem_controller_clock(&self.compute, bus_freq),
+        }
+    }
+
+    fn tables(&self) -> ClockTables {
+        ClockTables {
+            compute: self
+                .grid
+                .cu_freq_levels()
+                .into_iter()
+                .map(|f| self.compute_clock(f))
+                .collect(),
+            memory: self
+                .grid
+                .mem_freq_levels()
+                .into_iter()
+                .map(|f| self.memory_clock(f))
+                .collect(),
+        }
+    }
+}
+
+/// The calibrated card power model of one device (default: the HD7970).
+///
+/// Every term of the model that depends only on the clocks (the DVFS
+/// voltage and everything derived from it, leakage scaling, the memory
+/// clock's background, PHY and per-byte access penalties) is computed once
+/// per clock step of the grid when the model is built;
+/// [`breakdown`](Self::breakdown) looks them up and adds the activity
+/// terms. A configuration off the grid computes its clock terms on the
+/// spot, through the same functions.
+#[derive(Debug, Clone)]
+pub struct PowerModel {
+    calibration: Calibration,
+    clocks: ClockTables,
+}
+
+impl PartialEq for PowerModel {
+    /// Models are equal when their calibrations and grids are: the clock
+    /// tables are derived from them.
+    fn eq(&self, other: &Self) -> bool {
+        self.calibration == other.calibration
+    }
+}
+
+impl Serialize for PowerModel {
+    fn to_value(&self) -> serde::Value {
+        self.calibration.to_value()
+    }
+}
+
 impl PowerModel {
+    /// Builds the model of `calibration`, tabulating its clock terms.
+    fn calibrated(calibration: Calibration) -> Self {
+        let clocks = calibration.tables();
+        Self {
+            calibration,
+            clocks,
+        }
+    }
+
     /// The default calibration for the HD7970 test bed.
     pub fn hd7970() -> Self {
-        Self {
+        Self::calibrated(Calibration {
             compute: ComputePowerParams::default(),
             memory: MemoryPowerParams::default(),
             dvfs: DvfsTable::hd7970(),
             other: Watts(33.0),
             grid: GridSpec::HD7970,
-        }
+        })
     }
 
     /// The power model of a catalog device: its calibration, DVFS table,
     /// and grid. `for_device(&DeviceSpec::hd7970())` equals `hd7970()`.
     pub fn for_device(spec: &DeviceSpec) -> Self {
-        Self {
+        Self::calibrated(Calibration {
             compute: spec.power.compute.clone(),
             memory: spec.power.memory.clone(),
             dvfs: spec.dvfs.clone(),
             other: spec.power.other,
             grid: spec.gpu.grid,
-        }
+        })
     }
 
     /// A forward-looking *on-package stacked memory* calibration — the
@@ -148,7 +242,7 @@ impl PowerModel {
     /// and interface power drop (short in-package links, no board-level
     /// termination), and the board overhead shrinks; compute is unchanged.
     pub fn stacked_package() -> Self {
-        Self {
+        Self::calibrated(Calibration {
             compute: ComputePowerParams::default(),
             memory: MemoryPowerParams {
                 background_per_ghz: 6.0,
@@ -163,7 +257,7 @@ impl PowerModel {
             dvfs: DvfsTable::hd7970(),
             other: Watts(18.0),
             grid: GridSpec::HD7970,
-        }
+        })
     }
 
     /// Builds a model with custom parameters on the HD7970 grid (for
@@ -174,49 +268,70 @@ impl PowerModel {
         dvfs: DvfsTable,
         other: Watts,
     ) -> Self {
-        Self {
+        Self::calibrated(Calibration {
             compute,
             memory,
             dvfs,
             other,
             grid: GridSpec::HD7970,
-        }
+        })
     }
 
     /// Rebinds the model to another device grid (for what-if studies that
     /// start from [`with_params`](Self::with_params) on a catalog device).
-    pub fn with_grid(mut self, grid: GridSpec) -> Self {
-        self.grid = grid;
-        self
+    pub fn with_grid(self, grid: GridSpec) -> Self {
+        Self::calibrated(Calibration {
+            grid,
+            ..self.calibration
+        })
+    }
+
+    /// The chip (compute-side) calibration.
+    pub fn compute_params(&self) -> &ComputePowerParams {
+        &self.calibration.compute
+    }
+
+    /// The off-chip memory calibration.
+    pub fn memory_params(&self) -> &MemoryPowerParams {
+        &self.calibration.memory
+    }
+
+    /// The constant rest-of-card power (the paper's OtherPwr).
+    pub fn other_power(&self) -> Watts {
+        self.calibration.other
     }
 
     /// The DVFS table the model uses for voltage lookup.
     pub fn dvfs(&self) -> &DvfsTable {
-        &self.dvfs
+        &self.calibration.dvfs
     }
 
     /// The configuration grid of the device this model is calibrated for.
     /// Governors derive grid-stepping bounds from here, so a model built by
     /// [`for_device`](Self::for_device) steps on its own device's lattice.
     pub fn grid(&self) -> &GridSpec {
-        &self.grid
+        &self.calibration.grid
     }
 
     /// Evaluates the full card power breakdown at `cfg` under `activity`.
     pub fn breakdown(&self, cfg: HwConfig, activity: &Activity) -> PowerBreakdown {
-        let chip = chip_power(
-            &self.compute,
-            &self.dvfs,
-            cfg,
+        let c = &self.calibration;
+        let (freq, bus_freq) = (cfg.compute.freq(), cfg.memory.bus_freq());
+        let compute_clock = step_index(freq, c.grid.cu_freq_min, c.grid.cu_freq_step)
+            .and_then(|i| self.clocks.compute.get(i).copied())
+            .unwrap_or_else(|| c.compute_clock(freq));
+        let memory_clock = step_index(bus_freq, c.grid.mem_freq_min, c.grid.mem_freq_step)
+            .and_then(|i| self.clocks.memory.get(i).copied())
+            .unwrap_or_else(|| c.memory_clock(bus_freq));
+        let chip = chip_power_from(
+            &c.compute,
+            &compute_clock,
+            memory_clock.mem_controller,
+            cfg.compute.cu_count(),
             activity.valu_activity,
             activity.dram_traffic_fraction,
         );
-        let mem = memory_power_at(
-            &self.memory,
-            cfg,
-            activity.dram_bytes_per_sec,
-            self.grid.mem_freq_max.as_ghz(),
-        );
+        let mem = memory_power_from(&c.memory, &memory_clock.dram, activity.dram_bytes_per_sec);
         PowerBreakdown {
             cu_dynamic: chip.cu_dynamic,
             leakage: chip.leakage,
@@ -227,7 +342,7 @@ impl PowerModel {
             dram_activate: mem.activate,
             dram_read_write: mem.read_write,
             dram_termination: mem.termination,
-            other: self.other,
+            other: c.other,
         }
     }
 
@@ -401,6 +516,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn clock_tables_are_derived_state() {
+        // Rebinding to another grid and back gives an equal model, and the
+        // serialized form is the calibration and grid alone: neither sees
+        // the tables.
+        let hd7970: DeviceSpec = "hd7970".parse().unwrap();
+        let v100: DeviceSpec = "v100".parse().unwrap();
+        let model = PowerModel::for_device(&hd7970);
+        let rebound = model
+            .clone()
+            .with_grid(*v100.grid())
+            .with_grid(*hd7970.grid());
+        assert_eq!(model, rebound);
+        assert_ne!(model, model.clone().with_grid(*v100.grid()));
+        let serde::Value::Object(fields) = model.to_value() else {
+            panic!("a power model serializes to an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["compute", "memory", "dvfs", "other", "grid"]);
+        assert_eq!(model.to_value(), rebound.to_value());
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl CounterSample {
     /// Percent counters are scaled to 0–1 fractions so every feature has a
     /// comparable range ("we normalize all counter values to a percentage of
     /// its maximum possible value", Section 4.2).
-    pub fn bandwidth_features(&self) -> Vec<f64> {
-        vec![
+    pub fn bandwidth_features(&self) -> [f64; 7] {
+        [
             self.valu_utilization_pct / 100.0,
             self.write_unit_stalled_pct / 100.0,
             self.mem_unit_busy_pct / 100.0,
@@ -117,8 +117,8 @@ impl CounterSample {
     /// memory-busy statistics compress that ratio, so the busy fraction is
     /// exposed as its own feature. The published-coefficient model assigns
     /// it zero weight, keeping Table 3 semantics; fitted models learn it.
-    pub fn compute_features(&self) -> Vec<f64> {
-        vec![
+    pub fn compute_features(&self) -> [f64; 6] {
+        [
             self.c_to_m_intensity() / 100.0,
             self.norm_vgpr,
             self.norm_sgpr,

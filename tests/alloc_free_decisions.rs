@@ -1,0 +1,137 @@
+//! A warm governor decision allocates nothing.
+//!
+//! Harmonia's controller runs at every kernel boundary, so the per-decision
+//! path of every registry stack — `decide`, `condition` and `observe` — must
+//! do only per-decision work: per-kernel state is created the first time a
+//! kernel is seen, and a warm invocation reuses it. A counting global
+//! allocator with a thread-local counter measures the allocations made
+//! inside those three calls while each of the nine `session` stacks governs
+//! the 14 suite apps with telemetry off, from each app's third iteration on.
+
+use harmonia::dataset::TrainingSet;
+use harmonia::governor::{PolicyResources, PolicySpec};
+use harmonia::predictor::SensitivityPredictor;
+use harmonia::telemetry::TraceHandle;
+use harmonia_power::PowerModel;
+use harmonia_sim::{IntervalModel, TimingModel};
+use harmonia_types::DeviceSpec;
+use harmonia_workloads::suite;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting every allocation made on the calling
+/// thread (allocations, zeroed allocations and reallocations alike).
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the counter may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; counting touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread.
+fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The registry stacks the `session` benchmark runs.
+const STACKS: [&str; 9] = [
+    "baseline",
+    "cg",
+    "harmonia",
+    "freq-only",
+    "powertune",
+    "capped",
+    "hardened:harmonia",
+    "hardened:capped",
+    "hardened:ladder",
+];
+
+/// Warm invocations may allocate this often on average: a fine-grain step
+/// can still grow a per-kernel list (a newly blacklisted configuration),
+/// but a steady decision must not allocate at all.
+const MAX_ALLOCATIONS_PER_INVOCATION: f64 = 0.25;
+
+/// Iterations of each app before its invocations count as warm.
+const WARM_FROM: u64 = 2;
+
+#[test]
+fn warm_governor_decisions_do_not_allocate() {
+    let spec = DeviceSpec::lookup("hd7970").expect("catalog device");
+    let model = IntervalModel::new(spec.gpu);
+    let power = PowerModel::for_device(&spec);
+    let predictor =
+        SensitivityPredictor::fit(&TrainingSet::collect(&model)).expect("fit on the suite");
+    let res = PolicyResources::new(&predictor, &model, &power).with_device(&spec);
+    let apps = suite::all();
+
+    let mut report = Vec::new();
+    for name in STACKS {
+        let policy: PolicySpec = name.parse().expect("registry name");
+        let (mut allocations, mut invocations) = (0u64, 0u64);
+        for app in &apps {
+            let mut governor = policy.build(&res).governor;
+            governor.set_trace(TraceHandle::disabled());
+            for iteration in 0..app.iterations {
+                for kernel in &app.kernels {
+                    let (cfg, decide) = counting(|| governor.decide(kernel, iteration));
+                    let result = model.simulate(cfg, kernel, iteration);
+                    let ((_, counters), condition) = counting(|| {
+                        governor.condition(kernel, iteration, cfg, result.time, result.counters)
+                    });
+                    let ((), observe) =
+                        counting(|| governor.observe(kernel, iteration, cfg, &counters));
+                    if iteration >= WARM_FROM {
+                        allocations += decide + condition + observe;
+                        invocations += 1;
+                    }
+                }
+            }
+        }
+        assert!(invocations > 0, "{name}: no warm invocations");
+        report.push((name, allocations as f64 / invocations as f64));
+    }
+
+    let over: Vec<String> = report
+        .iter()
+        .filter(|(_, per)| *per > MAX_ALLOCATIONS_PER_INVOCATION)
+        .map(|(name, per)| format!("{name}: {per:.3}"))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "warm governor calls allocate more than {MAX_ALLOCATIONS_PER_INVOCATION} times per \
+         invocation: {over:?} (all stacks: {report:?})"
+    );
+}
