@@ -38,10 +38,10 @@ use crate::governor::{
     PowerTuneGovernor, WatchdogConfig,
 };
 use crate::predictor::SensitivityPredictor;
-use crate::sanitize::SanitizerConfig;
+use crate::sanitize::{self, SanitizerConfig};
 use harmonia_power::PowerModel;
 use harmonia_sim::TimingModel;
-use harmonia_types::{DeviceSpec, Watts};
+use harmonia_types::{DeviceSpec, GridSpec, Watts};
 use std::fmt;
 use std::str::FromStr;
 
@@ -252,11 +252,16 @@ impl PolicySpec {
                     Box::new(harmonia(HarmoniaConfig::cg_only())),
                     Box::new(harmonia(HarmoniaConfig::freq_only())),
                 )
+                .with_check_config(WatchdogConfig {
+                    check_actuation: true,
+                    max_bw_gbps: sanitize::max_bw_gbps_on(&grid),
+                    ..WatchdogConfig::default()
+                })
                 .with_safe_state(res.device.safe_state())
                 .with_stats(&stats);
                 let ledger = degrade.ledger();
                 let core = degrade.layer(Box::new(harmonia(HarmoniaConfig::default())));
-                let sanitized = SanitizeLayer::new(SanitizerConfig::default())
+                let sanitized = SanitizeLayer::new(sanitizer_config(&grid))
                     .with_stats(&stats)
                     .with_power(res.power)
                     .layer(core);
@@ -274,7 +279,7 @@ impl PolicySpec {
 /// The shared hardened core: sanitize → counter watchdog → Harmonia.
 fn hardened_core<'a>(res: &PolicyResources<'a>, stats: &PolicyStats) -> BoxGovernor<'a> {
     let grid = *res.device.grid();
-    let sanitized = SanitizeLayer::new(SanitizerConfig::default())
+    let sanitized = SanitizeLayer::new(sanitizer_config(&grid))
         .with_stats(stats)
         .with_power(res.power)
         .layer(Box::new(HarmoniaGovernor::with_config(
@@ -283,10 +288,19 @@ fn hardened_core<'a>(res: &PolicyResources<'a>, stats: &PolicyStats) -> BoxGover
         )));
     WatchdogLayer::counters(WatchdogConfig {
         safe: res.device.safe_state(),
+        max_bw_gbps: sanitize::max_bw_gbps_on(&grid),
         ..WatchdogConfig::default()
     })
     .with_stats(stats)
     .layer(sanitized)
+}
+
+/// The default sanitizer tuning with the bandwidth ceiling of `grid`'s bus.
+fn sanitizer_config(grid: &GridSpec) -> SanitizerConfig {
+    SanitizerConfig {
+        max_bw_gbps: sanitize::max_bw_gbps_on(grid),
+        ..SanitizerConfig::default()
+    }
 }
 
 impl fmt::Display for PolicySpec {

@@ -22,6 +22,7 @@
 //! [`PowerTuneGovernor`](crate::governor::PowerTuneGovernor)'s DPM table:
 //! all compute units at a low DPM clock with the memory bus untouched.
 
+use crate::sanitize::DEFAULT_MAX_BW_GBPS;
 use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig};
 
 /// The safe PowerTune-equivalent state fallback decisions pin to: all 32
@@ -59,6 +60,10 @@ pub struct WatchdogConfig {
     /// Throughput-collapse ratio: an interval whose VALU rate falls below
     /// `collapse_ratio × peak` is anomalous. Zero disables the check.
     pub collapse_ratio: f64,
+    /// Achieved-bandwidth ceiling (GB/s) of the counter-plausibility check:
+    /// the governed device's bus plus margin
+    /// ([`max_bw_gbps_on`](crate::sanitize::max_bw_gbps_on)).
+    pub max_bw_gbps: f64,
 }
 
 impl Default for WatchdogConfig {
@@ -71,6 +76,7 @@ impl Default for WatchdogConfig {
             safe: safe_state(),
             check_actuation: false,
             collapse_ratio: 0.02,
+            max_bw_gbps: DEFAULT_MAX_BW_GBPS,
         }
     }
 }

@@ -47,12 +47,26 @@ use crate::governor::KernelMap;
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::CounterSample;
-use harmonia_types::{HwConfig, Seconds};
+use harmonia_types::{GridSpec, HwConfig, MemoryConfig, Seconds};
 
 /// Physical ceiling for achieved bandwidth used by the default plausibility
 /// checks (GB/s). The HD 7970's bus peaks at 264 GB/s; the margin tolerates
-/// model overshoot without admitting sensor garbage.
+/// model overshoot without admitting sensor garbage. Other devices scale it
+/// to their own bus ([`max_bw_gbps_on`]).
 pub const DEFAULT_MAX_BW_GBPS: f64 = 300.0;
+
+/// The HD 7970's peak bus bandwidth (GB/s), the bus [`DEFAULT_MAX_BW_GBPS`]
+/// was set against.
+const HD7970_PEAK_BW_GBPS: f64 = 264.0;
+
+/// The achieved-bandwidth ceiling on a device grid: [`DEFAULT_MAX_BW_GBPS`]
+/// scaled by the grid's peak bus bandwidth over the HD 7970's, so every
+/// device keeps the same relative margin over its own bus. Exactly
+/// [`DEFAULT_MAX_BW_GBPS`] on the HD 7970 grid.
+pub fn max_bw_gbps_on(grid: &GridSpec) -> f64 {
+    let peak = MemoryConfig::max_on(grid).peak_bandwidth_on(grid).value();
+    DEFAULT_MAX_BW_GBPS * peak / HD7970_PEAK_BW_GBPS
+}
 
 /// Number of fields tracked by the EWMA outlier stage.
 const OUTLIER_FIELDS: usize = 6;
@@ -93,10 +107,11 @@ impl Default for SanitizerConfig {
 }
 
 /// Whether a sample passes the *static* plausibility checks alone: every
-/// float field finite and inside its physical range. Shared with the
-/// governor watchdogs, which must judge anomalies without carrying the
-/// sanitizer's per-kernel history.
-pub fn counters_plausible(c: &CounterSample) -> bool {
+/// float field finite and inside its physical range, with achieved
+/// bandwidth at most `max_bw_gbps` (the device's ceiling,
+/// [`max_bw_gbps_on`]). Shared with the governor watchdogs, which must
+/// judge anomalies without carrying the sanitizer's per-kernel history.
+pub fn counters_plausible(c: &CounterSample, max_bw_gbps: f64) -> bool {
     let pct_ok = |v: f64| v.is_finite() && (0.0..=100.0).contains(&v);
     let frac_ok = |v: f64| v.is_finite() && (0.0..=1.0).contains(&v);
     c.duration.value().is_finite()
@@ -114,7 +129,7 @@ pub fn counters_plausible(c: &CounterSample) -> bool {
         && c.dram_bytes.is_finite()
         && c.dram_bytes >= 0.0
         && c.achieved_bw_gbps.is_finite()
-        && (0.0..=DEFAULT_MAX_BW_GBPS).contains(&c.achieved_bw_gbps)
+        && (0.0..=max_bw_gbps).contains(&c.achieved_bw_gbps)
 }
 
 /// Whether a sample looks like a failed counter read: the timer ran but
@@ -701,16 +716,33 @@ mod tests {
 
     #[test]
     fn counters_plausible_flags_garbage() {
-        assert!(counters_plausible(&good()));
+        let plausible = |c: &CounterSample| counters_plausible(c, DEFAULT_MAX_BW_GBPS);
+        assert!(plausible(&good()));
         let mut bad = good();
         bad.valu_busy_pct = 120.0;
-        assert!(!counters_plausible(&bad));
+        assert!(!plausible(&bad));
         let mut nan = good();
         nan.dram_bytes = f64::NAN;
-        assert!(!counters_plausible(&nan));
+        assert!(!plausible(&nan));
         let mut glitch = good();
         glitch.duration = Seconds(f64::NAN);
-        assert!(!counters_plausible(&glitch));
+        assert!(!plausible(&glitch));
+        let mut fast = good();
+        fast.achieved_bw_gbps = 301.0;
+        assert!(!plausible(&fast));
+        assert!(counters_plausible(&fast, 400.0));
+    }
+
+    #[test]
+    fn bandwidth_ceiling_scales_with_the_device_bus() {
+        assert_eq!(
+            max_bw_gbps_on(&GridSpec::HD7970).to_bits(),
+            DEFAULT_MAX_BW_GBPS.to_bits(),
+            "the HD 7970 keeps its ceiling bit for bit"
+        );
+        let mut wide = GridSpec::HD7970;
+        wide.mem_bus_width_bits *= 2;
+        assert_eq!(max_bw_gbps_on(&wide), 2.0 * DEFAULT_MAX_BW_GBPS);
     }
 
     fn dead() -> CounterSample {
@@ -738,7 +770,10 @@ mod tests {
         // in-range but recognizably dead, so the watchdog can trip.
         let (_, c) = s.sanitize("k", 6, cfg, Seconds(0.01), dead(), &trace);
         assert!(dead_sample(&c), "escalated sample reads as dead");
-        assert!(counters_plausible(&c), "escalated sample stays in range");
+        assert!(
+            counters_plausible(&c, DEFAULT_MAX_BW_GBPS),
+            "escalated sample stays in range"
+        );
         assert!(trace
             .events()
             .iter()
