@@ -55,41 +55,48 @@ pub use watchdog::{safe_state, Watchdog, WatchdogConfig, WatchdogTransition};
 use crate::telemetry::TraceHandle;
 use harmonia_sim::{CounterSample, KernelProfile};
 use harmonia_types::{HwConfig, Seconds};
-use std::collections::HashMap;
 
-/// Per-kernel state keyed by kernel name. A lookup borrows the name and
-/// hashes it once; only the first [`slot`](Self::slot) for a kernel copies
-/// the name into an owned key. Every governor layer that keeps per-kernel
-/// state stores it here, so a warm decision allocates nothing.
+/// Per-kernel state keyed by kernel name, found by scanning the stored
+/// names: a lookup compares lengths, then bytes, and hashes nothing. One
+/// governor sees one application's kernels (1–3 in the suite), so the scan
+/// is a handful of short compares; a governor fed hundreds of distinct
+/// kernels would want an index instead. Only the first
+/// [`slot`](Self::slot) for a kernel copies its name. Every governor layer
+/// that keeps per-kernel state stores it here, so a warm decision
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct KernelMap<V> {
-    index: HashMap<String, usize>,
+    names: Vec<Box<str>>,
     slots: Vec<V>,
 }
 
 impl<V> Default for KernelMap<V> {
     fn default() -> Self {
         Self {
-            index: HashMap::new(),
+            names: Vec::new(),
             slots: Vec::new(),
         }
     }
 }
 
 impl<V> KernelMap<V> {
+    fn position(&self, kernel: &str) -> Option<usize> {
+        self.names.iter().position(|n| **n == *kernel)
+    }
+
     /// The state stored for `kernel`, if the kernel has been seen.
     pub(crate) fn get(&self, kernel: &str) -> Option<&V> {
-        self.index.get(kernel).map(|&i| &self.slots[i])
+        self.position(kernel).map(|i| &self.slots[i])
     }
 
     /// The state for `kernel`, created by `init` the first time the kernel
     /// is seen.
     pub(crate) fn slot(&mut self, kernel: &str, init: impl FnOnce() -> V) -> &mut V {
-        let i = match self.index.get(kernel) {
-            Some(&i) => i,
+        let i = match self.position(kernel) {
+            Some(i) => i,
             None => {
+                self.names.push(kernel.into());
                 self.slots.push(init());
-                self.index.insert(kernel.to_owned(), self.slots.len() - 1);
                 self.slots.len() - 1
             }
         };
@@ -176,5 +183,27 @@ impl<G: Governor + ?Sized> Governor for Box<G> {
         counters: &CounterSample,
     ) {
         (**self).observe(kernel, iteration, cfg, counters);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::KernelMap;
+
+    #[test]
+    fn kernel_map_keys_on_the_name_not_the_allocation() {
+        let mut map = KernelMap::default();
+        *map.slot(&String::from("Sort.Scan"), || 0) += 1;
+        // An equal name from another allocation finds the same slot.
+        *map.slot(&String::from("Sort.Scan"), || 0) += 1;
+        assert_eq!(map.get("Sort.Scan"), Some(&2));
+        // A distinct name of the same length gets a slot of its own.
+        *map.slot("Sort.Scam", || 10) += 1;
+        assert_eq!(map.get("Sort.Scan"), Some(&2));
+        assert_eq!(map.get("Sort.Scam"), Some(&11));
+        // Neither a prefix nor an extension of a stored name matches it.
+        assert_eq!(map.get("Sort.Sca"), None);
+        assert_eq!(map.get("Sort.Scans"), None);
+        assert_eq!(map.slots.len(), 2);
     }
 }

@@ -122,7 +122,8 @@ pub struct RunReport {
     pub gpu_energy: Joules,
     /// Memory share of the energy.
     pub mem_energy: Joules,
-    /// Per-kernel aggregates.
+    /// Per-kernel aggregates, one per distinct kernel that ran, in name
+    /// order.
     pub per_kernel: Vec<KernelReport>,
     /// Power-state residency over the run.
     pub residency: Residency,

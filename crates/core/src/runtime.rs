@@ -15,7 +15,6 @@ use harmonia_sim::faults::{ActuationOutcome, FaultKind, FaultPlan};
 use harmonia_sim::TimingModel;
 use harmonia_types::{HwConfig, Joules, Seconds, Session};
 use harmonia_workloads::Application;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// DAQ sampling rate for the telemetry power trace (the paper's 1 kHz).
@@ -312,13 +311,29 @@ impl<'a> Runtime<'a> {
                 .map_or(usize::MAX, |n| n.saturating_mul(app.kernels.len()));
             let _ = trace.try_reserve_exact(invocations);
         }
-        let mut per_kernel: BTreeMap<Arc<str>, KernelReport> = BTreeMap::new();
-        // Intern each kernel name once; records and reports then share the
+        // Resolve each kernel position to a run-local slot once: positions
+        // that list the same kernel share a slot, and per-kernel state is
+        // then indexed instead of looked up by name on every invocation.
+        // Each slot's report interns the kernel name; records share that
         // allocation via refcount bumps instead of per-invocation clones.
-        let names: Vec<Arc<str>> = app
+        let mut per_kernel: Vec<KernelReport> = Vec::with_capacity(app.kernels.len());
+        let slots: Vec<usize> = app
             .kernels
             .iter()
-            .map(|k| Arc::from(k.name.as_str()))
+            .map(|k| {
+                per_kernel
+                    .iter()
+                    .position(|r| *r.kernel == *k.name)
+                    .unwrap_or_else(|| {
+                        per_kernel.push(KernelReport {
+                            kernel: Arc::from(k.name.as_str()),
+                            invocations: 0,
+                            total_time: Seconds(0.0),
+                            card_energy: Joules(0.0),
+                        });
+                        per_kernel.len() - 1
+                    })
+            })
             .collect();
 
         governor.set_trace(self.telemetry.clone());
@@ -329,12 +344,15 @@ impl<'a> Runtime<'a> {
         // The virtual DAQ accumulates segments only while telemetry is
         // enabled; sampled at POWER_SAMPLE_HZ after the run.
         let mut daq = self.telemetry.enabled().then(PowerTrace::new);
-        // Configuration each kernel actually ran at last, for actuator
-        // faults that hold the previous state.
-        let mut last_actual: HashMap<Arc<str>, HwConfig> = HashMap::new();
+        // Configuration each kernel slot actually ran at last, for actuator
+        // faults that hold the previous state; only a fault plan needs it.
+        let mut last_actual: Vec<Option<HwConfig>> = match self.faults {
+            Some(_) => vec![None; per_kernel.len()],
+            None => Vec::new(),
+        };
 
         for iteration in 0..app.iterations {
-            for (kernel, name) in app.kernels.iter().zip(&names) {
+            for (kernel, &slot) in app.kernels.iter().zip(&slots) {
                 let decided = governor.decide(kernel, iteration);
                 if let Some(rec) = &self.recorder {
                     rec.record(SessionEvent::Decision {
@@ -365,7 +383,7 @@ impl<'a> Runtime<'a> {
                         _ => Actuation::Clean,
                     },
                     (None, Some(plan)) if !plan.is_empty() => {
-                        let previous = last_actual.get(name).copied();
+                        let previous = last_actual[slot];
                         match self.actuator {
                             Some(policy) => self
                                 .resolve_actuation(
@@ -439,8 +457,8 @@ impl<'a> Runtime<'a> {
                     }
                     Actuation::Clean => decided,
                 };
-                if self.faults.is_some() {
-                    last_actual.insert(name.clone(), cfg);
+                if let Some(last) = last_actual.get_mut(slot) {
+                    *last = Some(cfg);
                 }
                 self.telemetry.emit(|| TraceEvent::KernelStart {
                     kernel: kernel.name.clone(),
@@ -515,21 +533,14 @@ impl<'a> Runtime<'a> {
                     daq.push(dt, breakdown);
                 }
 
-                let entry = per_kernel
-                    .entry(name.clone())
-                    .or_insert_with(|| KernelReport {
-                        kernel: name.clone(),
-                        invocations: 0,
-                        total_time: Seconds(0.0),
-                        card_energy: Joules(0.0),
-                    });
-                entry.invocations += 1;
-                entry.total_time += dt;
-                entry.card_energy += breakdown.card_pwr() * dt;
+                let report = &mut per_kernel[slot];
+                report.invocations += 1;
+                report.total_time += dt;
+                report.card_energy += breakdown.card_pwr() * dt;
 
                 if self.keep_trace {
                     trace.push(InvocationRecord {
-                        kernel: name.clone(),
+                        kernel: report.kernel.clone(),
                         iteration,
                         cfg,
                         time: dt,
@@ -569,6 +580,9 @@ impl<'a> Runtime<'a> {
             });
         }
 
+        // Reports of the kernels that ran, in name order.
+        per_kernel.retain(|r| r.invocations > 0);
+        per_kernel.sort_unstable_by(|a, b| a.kernel.cmp(&b.kernel));
         RunReport {
             app: app.name.clone(),
             governor: governor.name().to_string(),
@@ -576,7 +590,7 @@ impl<'a> Runtime<'a> {
             card_energy,
             gpu_energy,
             mem_energy,
-            per_kernel: per_kernel.into_values().collect(),
+            per_kernel,
             residency,
             trace,
         }

@@ -514,22 +514,22 @@ impl HwConfig {
     /// Sets one tunable to the device-grid level nearest `fraction`.
     pub fn with_fraction_on(self, grid: &GridSpec, tunable: Tunable, fraction: f64) -> Self {
         let fraction = fraction.clamp(0.0, 1.0);
+        // The nearest of `count` levels. Level `i` is `min + i·step`, the
+        // value the grid's level list holds at index `i`.
+        let level = |count: usize| (fraction * (count - 1) as f64).round() as u32;
         let mut next = self;
         match tunable {
             Tunable::CuCount => {
-                let levels = grid.cu_levels();
-                let i = (fraction * (levels.len() - 1) as f64).round() as usize;
-                next.compute.cu_count = levels[i];
+                next.compute.cu_count = grid.cu_min + level(grid.cu_level_count()) * grid.cu_step;
             }
             Tunable::CuFreq => {
-                let levels = grid.cu_freq_levels();
-                let i = (fraction * (levels.len() - 1) as f64).round() as usize;
-                next.compute.freq = levels[i];
+                let i = level(grid.cu_freq_level_count());
+                next.compute.freq = MegaHertz(grid.cu_freq_min.value() + i * grid.cu_freq_step);
             }
             Tunable::MemFreq => {
-                let levels = grid.mem_freq_levels();
-                let i = (fraction * (levels.len() - 1) as f64).round() as usize;
-                next.memory.bus_freq = levels[i];
+                let i = level(grid.mem_freq_level_count());
+                next.memory.bus_freq =
+                    MegaHertz(grid.mem_freq_min.value() + i * grid.mem_freq_step);
             }
         }
         next

@@ -7,14 +7,17 @@
 //! allocator with a thread-local counter measures the allocations made
 //! inside those three calls while each of the nine `session` stacks governs
 //! the 14 suite apps with telemetry off, from each app's third iteration on.
+//! The same counter pins two pieces every stack uses: a coarse-grain jump
+//! (`HwConfig::with_fraction_on`) allocates nothing, and a stack's shared
+//! counters (`PolicyStats`) are one allocation.
 
 use harmonia::dataset::TrainingSet;
-use harmonia::governor::{PolicyResources, PolicySpec};
+use harmonia::governor::{PolicyResources, PolicySpec, PolicyStats};
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::telemetry::TraceHandle;
 use harmonia_power::PowerModel;
 use harmonia_sim::{IntervalModel, TimingModel};
-use harmonia_types::DeviceSpec;
+use harmonia_types::{DeviceSpec, HwConfig, Tunable};
 use harmonia_workloads::suite;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -134,4 +137,58 @@ fn warm_governor_decisions_do_not_allocate() {
         "warm governor calls allocate more than {MAX_ALLOCATIONS_PER_INVOCATION} times per \
          invocation: {over:?} (all stacks: {report:?})"
     );
+}
+
+#[test]
+fn coarse_grain_jumps_index_the_grid_without_allocating() {
+    let fractions = [
+        0.0,
+        1.0,
+        0.25,
+        1.0 / 3.0,
+        0.5,
+        0.74,
+        0.99,
+        -0.5,
+        1.5,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+    ];
+    for name in DeviceSpec::catalog() {
+        let spec = DeviceSpec::lookup(name).expect("catalog device");
+        let grid = spec.grid();
+        let from = HwConfig::min_on(grid);
+        for tunable in Tunable::ALL {
+            let levels: Vec<u32> = match tunable {
+                Tunable::CuCount => grid.cu_levels(),
+                Tunable::CuFreq => grid.cu_freq_levels().iter().map(|f| f.value()).collect(),
+                Tunable::MemFreq => grid.mem_freq_levels().iter().map(|f| f.value()).collect(),
+            };
+            for fraction in fractions {
+                let (jumped, allocations) =
+                    counting(|| from.with_fraction_on(grid, tunable, fraction));
+                let nearest = (fraction.clamp(0.0, 1.0) * (levels.len() - 1) as f64).round();
+                assert_eq!(
+                    jumped.raw_value(tunable),
+                    levels[nearest as usize],
+                    "{name}/{tunable:?} at {fraction}"
+                );
+                assert_eq!(
+                    jumped.with_fraction_on(grid, tunable, 0.0),
+                    from,
+                    "only {tunable:?} moves"
+                );
+                assert_eq!(allocations, 0, "{name}/{tunable:?} at {fraction} allocated");
+            }
+        }
+    }
+}
+
+#[test]
+fn policy_stats_are_one_allocation() {
+    let (stats, allocations) = counting(PolicyStats::new);
+    assert_eq!(allocations, 1, "a stack's counters share one allocation");
+    let (shared, allocations) = counting(|| stats.clone());
+    assert_eq!(allocations, 0, "a clone shares the counters");
+    assert_eq!(shared.rung_residency(), [0; 4]);
 }
