@@ -191,7 +191,7 @@ impl TrainingSet {
             .map(|((_, kernel), flat)| {
                 let counters = CounterSample::average(flat).expect("config space is non-empty");
                 TrainingRow {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     counters,
                     // Every probe point is a grid point already swept above,
                     // so the measurement is pure cache hits.
@@ -225,7 +225,7 @@ impl TrainingSet {
                 let counters =
                     CounterSample::average(&samples).expect("config space is non-empty");
                 TrainingRow {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     counters,
                     measured: Sensitivity::measure_on(&grid, model, kernel),
                 }

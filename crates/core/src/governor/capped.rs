@@ -160,7 +160,7 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         let granted = self.clamp(want, &activity);
         if granted != want {
             self.trace.emit(|| TraceEvent::CapClamp {
-                kernel: kernel.name.clone(),
+                kernel: kernel.name.to_string(),
                 iteration,
                 wanted: want.into(),
                 granted: granted.into(),

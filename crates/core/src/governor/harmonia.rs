@@ -242,7 +242,7 @@ impl Governor for HarmoniaGovernor {
         let sensitivity = cg.predict(&nominal);
         let bins = cg.bins(sensitivity);
         trace.emit(|| TraceEvent::Prediction {
-            kernel: kernel.name.clone(),
+            kernel: kernel.name.to_string(),
             iteration,
             cu: sensitivity.cu,
             freq: sensitivity.freq,
@@ -291,7 +291,7 @@ impl Governor for HarmoniaGovernor {
                 state.fg.mark_bad_if_slow(rate_now, cfg);
                 let restored = state.prev_cfg;
                 trace.emit(|| TraceEvent::RevertGuard {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                     from: cfg.into(),
                     to: restored.into(),
@@ -309,7 +309,7 @@ impl Governor for HarmoniaGovernor {
             state.cg_events += 1;
             let jumped = cg.apply(cfg, bins);
             trace.emit(|| TraceEvent::CgRetune {
-                kernel: kernel.name.clone(),
+                kernel: kernel.name.to_string(),
                 iteration,
                 from: cfg.into(),
                 to: jumped.into(),

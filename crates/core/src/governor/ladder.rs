@@ -341,8 +341,12 @@ impl<'a> DegradeLayer<'a> {
         }
     }
 
-    /// Overrides the anomaly-check tuning (collapse ratio, actuation
-    /// check) — the ladder checks actuation by default.
+    /// Overrides the tuning of the ladder's counter check
+    /// ([`CounterCheck`](crate::governor::CounterCheck)), which reads only
+    /// `check_actuation`, `collapse_ratio` and `max_bw_gbps`; the ladder
+    /// checks actuation by default. The other fields are ignored here:
+    /// hold lengths come from the [`LadderConfig`], and the terminal
+    /// rung's configuration from [`with_safe_state`](Self::with_safe_state).
     pub fn with_check_config(mut self, wd_config: WatchdogConfig) -> Self {
         self.wd_config = wd_config;
         self
@@ -494,7 +498,7 @@ impl Governor for DegradeGovernor<'_> {
         let what = verdict.or(pressure.then_some("sanitizer pressure"));
         if let Some(what) = what {
             self.trace.emit(|| TraceEvent::FaultDetected {
-                kernel: kernel.name.clone(),
+                kernel: kernel.name.to_string(),
                 iteration,
                 what: what.to_string(),
             });
@@ -510,7 +514,7 @@ impl Governor for DegradeGovernor<'_> {
             LadderTransition::Demoted { from, to, hold } => {
                 self.stats.count_rung_demotion();
                 self.trace.emit(|| TraceEvent::RungShift {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                     from: from.label().to_string(),
                     to: to.label().to_string(),
@@ -522,7 +526,7 @@ impl Governor for DegradeGovernor<'_> {
                     self.stats.count_fallback_engagement();
                     let safe = self.safe;
                     self.trace.emit(|| TraceEvent::FallbackEngaged {
-                        kernel: kernel.name.clone(),
+                        kernel: kernel.name.to_string(),
                         iteration,
                         safe: safe.into(),
                         hold,
@@ -532,7 +536,7 @@ impl Governor for DegradeGovernor<'_> {
             LadderTransition::Promoted { from, to } => {
                 self.stats.count_rung_promotion();
                 self.trace.emit(|| TraceEvent::RungShift {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                     from: from.label().to_string(),
                     to: to.label().to_string(),
@@ -540,7 +544,7 @@ impl Governor for DegradeGovernor<'_> {
                 });
                 if from == Rung::SafeState {
                     self.trace.emit(|| TraceEvent::FallbackReleased {
-                        kernel: kernel.name.clone(),
+                        kernel: kernel.name.to_string(),
                         iteration,
                     });
                 }

@@ -283,7 +283,7 @@ impl<'a> OracleGovernor<'a> {
         let cached = CachedModel::new(self.model, &self.sim_cache);
         let plan = self
             .plans
-            .entry(Arc::from(kernel.name.as_str()))
+            .entry(kernel.name.clone())
             .or_insert_with(|| SweepPlan::new(self.configs.clone()));
         let decision = plan.decide(&cached, kernel, iteration, &objective);
         if decision.kind != DecisionKind::Memo {

@@ -136,7 +136,7 @@ impl Governor for PowerTuneGovernor<'_> {
         }
         if self.state != state_before {
             self.trace.emit(|| TraceEvent::DpmShift {
-                kernel: kernel.name.clone(),
+                kernel: kernel.name.to_string(),
                 iteration,
                 from_mhz: self.ladder[state_before],
                 to_mhz: self.ladder[self.state],

@@ -484,7 +484,7 @@ impl Governor for WatchdogGovernor<'_> {
         );
         if let Some(what) = what {
             self.trace.emit(|| TraceEvent::FaultDetected {
-                kernel: kernel.name.clone(),
+                kernel: kernel.name.to_string(),
                 iteration,
                 what: what.to_string(),
             });
@@ -495,7 +495,7 @@ impl Governor for WatchdogGovernor<'_> {
                 let safe = self.watchdog.safe();
                 let hold = self.watchdog.hold();
                 self.trace.emit(|| TraceEvent::FallbackEngaged {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                     safe: safe.into(),
                     hold,
@@ -503,7 +503,7 @@ impl Governor for WatchdogGovernor<'_> {
             }
             WatchdogTransition::Released => {
                 self.trace.emit(|| TraceEvent::FallbackReleased {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                 });
             }

@@ -41,6 +41,12 @@ pub fn safe_state() -> HwConfig {
 }
 
 /// Tuning for a [`Watchdog`].
+///
+/// A [`DegradeLayer`](crate::governor::DegradeLayer) borrows this type for
+/// its counter check and reads only `check_actuation`, `collapse_ratio` and
+/// `max_bw_gbps`: `threshold`, `base_hold`, `max_hold`, `clean_reset` and
+/// `safe` have no effect there (see
+/// [`DegradeLayer::with_check_config`](crate::governor::DegradeLayer::with_check_config)).
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
     /// Consecutive anomalous intervals before fallback engages.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InvocationRecord {
     /// Kernel name, interned: every record of the same kernel shares one
-    /// allocation with its [`KernelReport`].
+    /// allocation with its [`KernelReport`] and the kernel's profile.
     pub kernel: Arc<str>,
     /// Outer application iteration.
     pub iteration: u64,

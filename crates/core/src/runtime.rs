@@ -15,7 +15,6 @@ use harmonia_sim::faults::{ActuationOutcome, FaultKind, FaultPlan};
 use harmonia_sim::TimingModel;
 use harmonia_types::{HwConfig, Joules, Seconds, Session};
 use harmonia_workloads::Application;
-use std::sync::Arc;
 
 /// DAQ sampling rate for the telemetry power trace (the paper's 1 kHz).
 const POWER_SAMPLE_HZ: f64 = 1000.0;
@@ -314,8 +313,8 @@ impl<'a> Runtime<'a> {
         // Resolve each kernel position to a run-local slot once: positions
         // that list the same kernel share a slot, and per-kernel state is
         // then indexed instead of looked up by name on every invocation.
-        // Each slot's report interns the kernel name; records share that
-        // allocation via refcount bumps instead of per-invocation clones.
+        // Each slot's report, its invocation records and the session trace
+        // share the profile's name allocation via refcount bumps.
         let mut per_kernel: Vec<KernelReport> = Vec::with_capacity(app.kernels.len());
         let slots: Vec<usize> = app
             .kernels
@@ -326,7 +325,7 @@ impl<'a> Runtime<'a> {
                     .position(|r| *r.kernel == *k.name)
                     .unwrap_or_else(|| {
                         per_kernel.push(KernelReport {
-                            kernel: Arc::from(k.name.as_str()),
+                            kernel: k.name.clone(),
                             invocations: 0,
                             total_time: Seconds(0.0),
                             card_energy: Joules(0.0),
@@ -416,7 +415,7 @@ impl<'a> Runtime<'a> {
                 let cfg = match actuation {
                     Actuation::Fault { kind, actual } => {
                         self.telemetry.emit(|| TraceEvent::FaultInjected {
-                            kernel: kernel.name.clone(),
+                            kernel: kernel.name.to_string(),
                             iteration,
                             kind: kind.label().to_string(),
                             wanted: decided.into(),
@@ -435,7 +434,7 @@ impl<'a> Runtime<'a> {
                     }
                     Actuation::Resolved(res) => {
                         self.telemetry.emit(|| TraceEvent::ActuationResolved {
-                            kernel: kernel.name.clone(),
+                            kernel: kernel.name.to_string(),
                             iteration,
                             outcome: res.outcome.label().to_string(),
                             attempts: res.attempts,
@@ -461,7 +460,7 @@ impl<'a> Runtime<'a> {
                     *last = Some(cfg);
                 }
                 self.telemetry.emit(|| TraceEvent::KernelStart {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                     cfg: cfg.into(),
                 });
@@ -512,7 +511,7 @@ impl<'a> Runtime<'a> {
                 mem_energy += breakdown.mem_pwr() * dt;
                 residency.record(cfg, dt);
                 self.telemetry.emit(|| TraceEvent::KernelEnd {
-                    kernel: kernel.name.clone(),
+                    kernel: kernel.name.to_string(),
                     iteration,
                     cfg: cfg.into(),
                     time_s: dt.value(),
@@ -523,7 +522,7 @@ impl<'a> Runtime<'a> {
                 });
                 if !result.fast_forward.is_exact() {
                     self.telemetry.emit(|| TraceEvent::FastForward {
-                        kernel: kernel.name.clone(),
+                        kernel: kernel.name.to_string(),
                         iteration,
                         stepped_waves: result.fast_forward.stepped_waves,
                         fast_forwarded_waves: result.fast_forward.fast_forwarded_waves,

@@ -55,7 +55,7 @@ fn sweep_table() {
             .map(|k| ((), k))
         {
             let s = harmonia::sensitivity::Sensitivity::measure(&model, k);
-            let row = data.rows.iter().find(|r| r.kernel == k.name).unwrap();
+            let row = data.rows.iter().find(|r| *r.kernel == *k.name).unwrap();
             let p = trained.predict(&row.counters);
             println!(
                 "    {:<28} meas(cu={:+.2} f={:+.2} b={:+.2}) pred(cu={:+.2} f={:+.2} b={:+.2})",

@@ -21,7 +21,7 @@ pub fn app_deep_dive(ctx: &Context, app_name: &str) -> Option<Report> {
 
     // 1. Kernel characterization.
     for k in &eval.app.kernels {
-        let row = ctx.training().rows.iter().find(|t| t.kernel == k.name);
+        let row = ctx.training().rows.iter().find(|t| *t.kernel == *k.name);
         let sens = row.map_or_else(String::new, |t| {
             format!(
                 "cu {:+.2}, freq {:+.2}, bw {:+.2}",
@@ -30,7 +30,7 @@ pub fn app_deep_dive(ctx: &Context, app_name: &str) -> Option<Report> {
         });
         r.push_row(vec![
             "kernel".into(),
-            k.name.clone(),
+            k.name.to_string(),
             format!(
                 "{:.2} ops/byte demand; {}",
                 k.demand_ops_per_byte(),

@@ -434,7 +434,7 @@ pub fn ablation_models(ctx: &Context) -> Report {
         let min = ti.min(te).min(tt);
         worst = worst.max(max / min);
         r.push_row(vec![
-            k.name.clone(),
+            k.name.to_string(),
             num(ti, 4),
             num(te, 4),
             num(tt, 4),

@@ -140,7 +140,7 @@ pub fn fig3(ctx: &Context) -> Report {
                 .find(|p| p.1 >= 0.95 * peak)
                 .map_or(f64::NAN, |p| p.0);
             r.push_row(vec![
-                kernel.name.clone(),
+                kernel.name.to_string(),
                 num(mem_cfg.peak_bandwidth_on(&grid).value(), 0),
                 num(peak, 1),
                 num(knee, 1),
@@ -316,7 +316,7 @@ pub fn fig7(ctx: &Context) -> Report {
         let occ = Occupancy::compute(gpu, k, gpu.grid.cu_max);
         let s = sensitivity::Sensitivity::measure_on(&gpu.grid, ctx.model(), k);
         r.push_row(vec![
-            k.name.clone(),
+            k.name.to_string(),
             format!("{:.0}%", occ.fraction * 100.0),
             occ.limiter.to_string(),
             num(s.bandwidth, 2),
@@ -342,7 +342,7 @@ pub fn fig8(ctx: &Context) -> Report {
     for k in &kernels {
         let s = sensitivity::freq_sensitivity_on(&ctx.model().gpu().grid, ctx.model(), k, 0);
         r.push_row(vec![
-            k.name.clone(),
+            k.name.to_string(),
             format!("{:.0}%", k.branch_divergence * 100.0),
             num(k.valu_insts_per_item, 0),
             num(s, 2),

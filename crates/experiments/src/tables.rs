@@ -149,7 +149,7 @@ pub fn sensitivity_table(ctx: &Context) -> Report {
     for row in &ctx.training().rows {
         let kernel = suite::training_kernels()
             .into_iter()
-            .find(|(_, k)| k.name == row.kernel)
+            .find(|(_, k)| *k.name == *row.kernel)
             .map(|(_, k)| k)
             .expect("training rows come from the suite");
         let occ = harmonia_sim::Occupancy::compute(&gpu, &kernel, gpu.grid.cu_max);
@@ -180,7 +180,7 @@ pub fn oracle_configs(ctx: &Context) -> Report {
     for (_, kernel) in suite::training_kernels() {
         let cfg = oracle.best_config(&kernel, 0);
         r.push_row(vec![
-            kernel.name.clone(),
+            kernel.name.to_string(),
             cfg.compute.cu_count().to_string(),
             cfg.compute.freq().value().to_string(),
             cfg.memory.bus_freq().value().to_string(),

@@ -22,7 +22,9 @@
 //! bit-exactly). Kernel names are interned: a name reference equal to the
 //! running table size introduces a new name inline (varint length + UTF-8);
 //! smaller references index the table. Encoding is canonical, so
-//! `encode(decode(bytes)) == bytes` for any valid stream.
+//! `encode(decode(bytes)) == bytes` for any valid stream. Decoding
+//! allocates each distinct name once and every event naming it shares that
+//! [`Arc<str>`].
 //!
 //! The format is strict: decoding validates tags, fault-kind codes, name
 //! references, and stream length, and every failure is a typed
@@ -31,9 +33,9 @@
 use crate::{CfgPoint, SessionEvent};
 use harmonia_sim::{ActuationOutcome, CounterSample, FaultKind};
 use harmonia_types::Seconds;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// The 8-byte stream magic.
 pub const MAGIC: [u8; 8] = *b"HRRTRACE";
@@ -188,19 +190,28 @@ fn put_counters(out: &mut Vec<u8>, c: &CounterSample) {
     put_f64(out, c.l2_hit_rate);
 }
 
+/// The encoder's kernel-name table: a name's id is its first-seen
+/// position. Found by scanning, not hashing: a session names 1–3 kernels
+/// (the assumption `KernelMap` rests on), and events recorded from one
+/// profile share its allocation, so the pointer test settles nearly every
+/// lookup before any byte is compared. A stream naming hundreds of
+/// distinct kernels would want an index instead.
+#[derive(Default)]
 struct Interner<'a> {
-    ids: HashMap<&'a str, u64>,
+    names: Vec<&'a str>,
 }
 
 impl<'a> Interner<'a> {
     fn put_kernel(&mut self, out: &mut Vec<u8>, name: &'a str) {
-        match self.ids.get(name) {
-            Some(&id) => put_varint(out, id),
+        let known = self.names.iter().position(|n| {
+            n.len() == name.len() && (n.as_ptr() == name.as_ptr() || *n == name)
+        });
+        match known {
+            Some(id) => put_varint(out, id as u64),
             None => {
-                let id = self.ids.len() as u64;
-                self.ids.insert(name, id);
-                put_varint(out, id);
+                put_varint(out, self.names.len() as u64);
                 put_str(out, name);
+                self.names.push(name);
             }
         }
     }
@@ -228,7 +239,7 @@ pub fn encode(events: &[SessionEvent]) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&minimal_version(events).to_le_bytes());
     put_varint(&mut out, events.len() as u64);
-    let mut interner = Interner { ids: HashMap::new() };
+    let mut interner = Interner::default();
     for event in events {
         match event {
             SessionEvent::SessionStart { app, policy, fault_seed } => {
@@ -363,26 +374,30 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes"))))
     }
 
-    fn string(&mut self) -> Result<String, CodecError> {
+    fn str(&mut self) -> Result<&'a str, CodecError> {
         let len_offset = self.pos;
         let len = self.varint()?;
         let len = usize::try_from(len)
             .map_err(|_| CodecError::Malformed { offset: len_offset, what: "string length" })?;
         let offset = self.pos;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
+        std::str::from_utf8(raw)
             .map_err(|_| CodecError::Malformed { offset, what: "string (invalid UTF-8)" })
     }
 
-    fn kernel(&mut self, table: &mut Vec<String>) -> Result<String, CodecError> {
+    fn string(&mut self) -> Result<String, CodecError> {
+        self.str().map(str::to_owned)
+    }
+
+    fn kernel(&mut self, table: &mut Vec<Arc<str>>) -> Result<Arc<str>, CodecError> {
         let offset = self.pos;
         let reference = self.varint()?;
         if reference == table.len() as u64 {
-            let name = self.string()?;
-            table.push(name.clone());
+            let name: Arc<str> = Arc::from(self.str()?);
+            table.push(Arc::clone(&name));
             Ok(name)
         } else if reference < table.len() as u64 {
-            Ok(table[reference as usize].clone())
+            Ok(Arc::clone(&table[reference as usize]))
         } else {
             Err(CodecError::BadKernelRef { reference, offset })
         }
@@ -461,7 +476,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SessionEvent>, CodecError> {
     let count = r.varint()?;
     let count = usize::try_from(count)
         .map_err(|_| CodecError::Malformed { offset: 10, what: "event count" })?;
-    let mut table: Vec<String> = Vec::new();
+    let mut table: Vec<Arc<str>> = Vec::new();
     let mut events: Vec<SessionEvent> = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         let decoded = (|| {
@@ -667,7 +682,7 @@ mod tests {
             .collect();
         let unique: Vec<SessionEvent> = (0..64)
             .map(|i| SessionEvent::Decision {
-                kernel: format!("a-rather-long-kernel-name{i:03}"),
+                kernel: format!("a-rather-long-kernel-name{i:03}").into(),
                 iteration: i,
                 cfg,
             })
@@ -680,6 +695,40 @@ mod tests {
             a.len(),
             encode(&unique).len()
         );
+    }
+
+    #[test]
+    fn names_intern_by_value_and_decode_to_one_allocation() {
+        let cfg = CfgPoint { cu: 8, cu_mhz: 100, mem_mhz: 120 };
+        let decision = |kernel: &Arc<str>, iteration| SessionEvent::Decision {
+            kernel: kernel.clone(),
+            iteration,
+            cfg,
+        };
+        let (k, j): (Arc<str>, Arc<str>) = ("k".into(), "j".into());
+        let shared = vec![decision(&k, 0), decision(&j, 0), decision(&k, 1)];
+        // Equal names in separate allocations intern by their bytes.
+        let separate = vec![decision(&k, 0), decision(&j, 0), decision(&"k".into(), 1)];
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&[1, 0, 3]);
+        expected.extend_from_slice(&[TAG_DECISION, 0, 1, b'k', 0, 8, 100, 120]);
+        expected.extend_from_slice(&[TAG_DECISION, 1, 1, b'j', 0, 8, 100, 120]);
+        expected.extend_from_slice(&[TAG_DECISION, 0, 1, 8, 100, 120]);
+        assert_eq!(encode(&shared), expected);
+        let bytes = encode(&separate);
+        assert_eq!(bytes, expected);
+
+        let back = decode(&bytes).expect("decodes");
+        assert_eq!(back, separate);
+        let names: Vec<&Arc<str>> = back
+            .iter()
+            .map(|e| match e {
+                SessionEvent::Decision { kernel, .. } => kernel,
+                other => panic!("unexpected {other}"),
+            })
+            .collect();
+        assert!(Arc::ptr_eq(names[0], names[2]), "one name, one allocation");
+        assert!(!Arc::ptr_eq(names[0], names[1]));
     }
 
     fn resolved(kernel: &str) -> SessionEvent {

@@ -109,8 +109,8 @@ pub enum SessionEvent {
     /// but recorded so the differ can name the invocation where a replay
     /// first disagreed.
     Decision {
-        /// Kernel name.
-        kernel: String,
+        /// Kernel name, shared with the kernel's profile.
+        kernel: Arc<str>,
         /// Outer application iteration (the kernel's phase position).
         iteration: u64,
         /// The configuration the governor asked for.
@@ -120,8 +120,8 @@ pub enum SessionEvent {
     /// shim ran the kernel at `actual` instead of `wanted`. Recorded only
     /// when `actual != wanted`, mirroring the runtime's fault telemetry.
     Actuation {
-        /// Kernel name.
-        kernel: String,
+        /// Kernel name, shared with the kernel's profile.
+        kernel: Arc<str>,
         /// Outer application iteration.
         iteration: u64,
         /// Which actuator fault fired.
@@ -137,8 +137,8 @@ pub enum SessionEvent {
     /// apply records nothing, so sessions run without the shim (or without
     /// faults) keep their byte-identical v1 traces.
     ActuationResolved {
-        /// Kernel name.
-        kernel: String,
+        /// Kernel name, shared with the kernel's profile.
+        kernel: Arc<str>,
         /// Outer application iteration.
         iteration: u64,
         /// Terminal outcome of the retry state machine.
@@ -156,8 +156,8 @@ pub enum SessionEvent {
     /// the monitoring block saw, with noise and counter faults already
     /// baked in. This is the stochastic source replay substitutes.
     Sample {
-        /// Kernel name.
-        kernel: String,
+        /// Kernel name, shared with the kernel's profile.
+        kernel: Arc<str>,
         /// Outer application iteration.
         iteration: u64,
         /// Configuration the invocation ran at.
@@ -175,8 +175,8 @@ pub enum SessionEvent {
     /// (hold-last-good substitution). Recorded only when the conditioned
     /// value differs bitwise from the raw sample.
     Conditioned {
-        /// Kernel name.
-        kernel: String,
+        /// Kernel name, shared with the kernel's profile.
+        kernel: Arc<str>,
         /// Outer application iteration.
         iteration: u64,
         /// Conditioned execution time in seconds.
@@ -393,7 +393,7 @@ impl SessionEvent {
                 Decision { kernel: k2, iteration: i2, cfg: c2 },
             ) => {
                 if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.clone(), k2.clone());
+                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
                 }
                 if i1 != i2 {
                     push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
@@ -407,7 +407,7 @@ impl SessionEvent {
                 Actuation { kernel: k2, iteration: i2, kind: f2, wanted: w2, actual: a2 },
             ) => {
                 if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.clone(), k2.clone());
+                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
                 }
                 if i1 != i2 {
                     push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
@@ -443,7 +443,7 @@ impl SessionEvent {
                 },
             ) => {
                 if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.clone(), k2.clone());
+                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
                 }
                 if i1 != i2 {
                     push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
@@ -485,7 +485,7 @@ impl SessionEvent {
                 },
             ) => {
                 if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.clone(), k2.clone());
+                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
                 }
                 if i1 != i2 {
                     push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
@@ -509,7 +509,7 @@ impl SessionEvent {
                 Conditioned { kernel: k2, iteration: i2, time_s: t2, counters: n2 },
             ) => {
                 if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.clone(), k2.clone());
+                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
                 }
                 if i1 != i2 {
                     push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
@@ -645,7 +645,8 @@ impl Recorder {
         self.events.lock().expect("recorder poisoned").push(event);
     }
 
-    /// Snapshot of everything recorded so far.
+    /// Snapshot of everything recorded so far. Kernel names are shared,
+    /// not copied.
     pub fn events(&self) -> Vec<SessionEvent> {
         self.events.lock().expect("recorder poisoned").clone()
     }
@@ -660,9 +661,10 @@ impl Recorder {
         self.len() == 0
     }
 
-    /// Encodes the recorded session in the versioned binary format.
+    /// Encodes the recorded session in the versioned binary format,
+    /// reading the events in place under the lock.
     pub fn encode(&self) -> Vec<u8> {
-        codec::encode(&self.events())
+        codec::encode(&self.events.lock().expect("recorder poisoned"))
     }
 }
 
@@ -786,7 +788,7 @@ impl Replayer {
             let pos = c.pos;
             match c.events.get(pos) {
                 Some(SessionEvent::Actuation { kernel: k, iteration: it, kind, actual, .. }) => {
-                    return if k == kernel && *it == iteration {
+                    return if **k == *kernel && *it == iteration {
                         let kind = *kind;
                         let hw = actual.to_hw();
                         c.pos = pos + 1;
@@ -815,7 +817,7 @@ impl Replayer {
                     actual,
                     ..
                 }) => {
-                    return if k == kernel && *it == iteration {
+                    return if **k == *kernel && *it == iteration {
                         let (outcome, attempts, kinds) = (*outcome, *attempts, kinds.clone());
                         let hw = actual.to_hw();
                         c.pos = pos + 1;
@@ -882,7 +884,7 @@ impl Replayer {
                             fast_forwarded_waves: *fast_forwarded_waves,
                         },
                     };
-                    let mismatch = (k != kernel || *it != iteration || *recorded_cfg != want)
+                    let mismatch = (**k != *kernel || *it != iteration || *recorded_cfg != want)
                         .then(|| {
                             format!(
                                 "recorded sample is {k}#{it} @ {recorded_cfg}, \
@@ -929,7 +931,7 @@ mod tests {
 
     fn sample(kernel: &str, iteration: u64, t: f64) -> SessionEvent {
         SessionEvent::Sample {
-            kernel: kernel.to_string(),
+            kernel: kernel.into(),
             iteration,
             cfg: CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 },
             time_s: t,

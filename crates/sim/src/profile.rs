@@ -9,6 +9,7 @@
 //! ops/byte swings between 0.64 and 264 across iterations in Figure 14).
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Per-invocation scaling of a kernel's work.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,8 +84,9 @@ impl PhaseModulation {
 /// description consumed by the timing models.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelProfile {
-    /// Kernel name, e.g. `"Sort.BottomScan"`.
-    pub name: String,
+    /// Kernel name, e.g. `"Sort.BottomScan"`. Shared: session traces, run
+    /// reports and invocation records hold clones of this one allocation.
+    pub name: Arc<str>,
     /// Total work-items launched per invocation.
     pub workitems: u64,
     /// Work-items per workgroup.
@@ -133,7 +135,7 @@ pub struct KernelProfile {
 
 impl KernelProfile {
     /// Starts building a profile with the given kernel name.
-    pub fn builder(name: impl Into<String>) -> KernelProfileBuilder {
+    pub fn builder(name: impl Into<Arc<str>>) -> KernelProfileBuilder {
         KernelProfileBuilder::new(name)
     }
 
@@ -235,7 +237,7 @@ pub struct KernelProfileBuilder {
 }
 
 impl KernelProfileBuilder {
-    fn new(name: impl Into<String>) -> Self {
+    fn new(name: impl Into<Arc<str>>) -> Self {
         Self {
             profile: KernelProfile {
                 name: name.into(),
@@ -389,7 +391,7 @@ mod tests {
     #[test]
     fn builder_defaults_are_sane() {
         let k = KernelProfile::builder("k").build();
-        assert_eq!(k.name, "k");
+        assert_eq!(&*k.name, "k");
         assert!(k.workitems > 0);
         assert!(k.vgprs_per_item <= 256);
         assert!(k.branch_divergence >= 0.0 && k.branch_divergence <= 1.0);

@@ -48,7 +48,7 @@ impl Application {
 
     /// Looks up a kernel by name.
     pub fn kernel(&self, name: &str) -> Option<&KernelProfile> {
-        self.kernels.iter().find(|k| k.name == name)
+        self.kernels.iter().find(|k| *k.name == *name)
     }
 }
 

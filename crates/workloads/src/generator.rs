@@ -6,12 +6,13 @@
 
 use harmonia_sim::{KernelProfile, PhaseModulation, PhaseScale};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Generates a random, always-valid kernel profile.
 ///
 /// The distribution spans the suite's envelope: compute-bound, memory-bound,
 /// divergent, register-hungry, and cache-thrashing kernels all occur.
-pub fn random_profile<R: Rng + ?Sized>(rng: &mut R, name: impl Into<String>) -> KernelProfile {
+pub fn random_profile<R: Rng + ?Sized>(rng: &mut R, name: impl Into<Arc<str>>) -> KernelProfile {
     let archetype = rng.gen_range(0..4u8);
     let mut b = KernelProfile::builder(name)
         .workitems(1 << rng.gen_range(14..23))

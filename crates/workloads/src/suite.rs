@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn kernel_names_are_unique_and_prefixed() {
         let kernels = training_kernels();
-        let mut names: Vec<&str> = kernels.iter().map(|(_, k)| k.name.as_str()).collect();
+        let mut names: Vec<&str> = kernels.iter().map(|(_, k)| &*k.name).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();

@@ -19,7 +19,7 @@ fn main() {
         .unwrap_or_else(|| "DeviceMemory.Stream".to_string());
     let Some((_, kernel)) = suite::training_kernels()
         .into_iter()
-        .find(|(_, k)| k.name == name)
+        .find(|(_, k)| *k.name == *name)
     else {
         eprintln!("unknown kernel {name}; available kernels:");
         for (_, k) in suite::training_kernels() {

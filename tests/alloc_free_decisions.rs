@@ -9,14 +9,22 @@
 //! the 14 suite apps with telemetry off, from each app's third iteration on.
 //! The same counter pins two pieces every stack uses: a coarse-grain jump
 //! (`HwConfig::with_fraction_on`) allocates nothing, and a stack's shared
-//! counters (`PolicyStats`) are one allocation.
+//! counters (`PolicyStats`) are one allocation. It also pins the session
+//! trace of a recorded chaos session: every kernel-bearing event shares
+//! its profile's name, and reading the stream back — `Recorder::events`
+//! and `codec::decode` — allocates per distinct name and per retry
+//! resolution's fault-kind list, never per decision, sample, sanitizer
+//! substitution or actuator fault.
 
 use harmonia::dataset::TrainingSet;
 use harmonia::governor::{PolicyResources, PolicySpec, PolicyStats};
 use harmonia::predictor::SensitivityPredictor;
+use harmonia::runtime::{RetryPolicy, Runtime};
 use harmonia::telemetry::TraceHandle;
+use harmonia_experiments::rr_cmd::chaos_plan;
 use harmonia_power::PowerModel;
-use harmonia_sim::{IntervalModel, TimingModel};
+use harmonia_rr::{codec, Recorder, SessionEvent};
+use harmonia_sim::{FaultyModel, IntervalModel, TimingModel};
 use harmonia_types::{DeviceSpec, HwConfig, Tunable};
 use harmonia_workloads::suite;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -191,4 +199,57 @@ fn policy_stats_are_one_allocation() {
     let (shared, allocations) = counting(|| stats.clone());
     assert_eq!(allocations, 0, "a clone shares the counters");
     assert_eq!(shared.rung_residency(), [0; 4]);
+}
+
+/// Allocations reading a session stream back may make regardless of its
+/// length: the event vector, the decoder's name table, and the header's
+/// application and policy strings.
+const STREAM_ALLOCATIONS: u64 = 4;
+
+#[test]
+fn session_traces_share_kernel_names() {
+    let spec = DeviceSpec::lookup("hd7970").expect("catalog device");
+    let model = IntervalModel::new(spec.gpu);
+    let power = PowerModel::for_device(&spec);
+    let predictor =
+        SensitivityPredictor::fit(&TrainingSet::collect(&model)).expect("fit on the suite");
+    let res = PolicyResources::new(&predictor, &model, &power).with_device(&spec);
+    let app = suite::all().into_iter().find(|a| a.name == "Graph500").expect("suite app");
+    let policy: PolicySpec = "hardened:capped".parse().expect("registry name");
+    let plan = chaos_plan(0xFA17);
+
+    let recorder = Recorder::new();
+    recorder.record(SessionEvent::SessionStart {
+        app: app.name.clone(),
+        policy: policy.name(),
+        fault_seed: plan.seed(),
+    });
+    let faulty = FaultyModel::new(&model, plan.clone());
+    Runtime::new(&faulty, &power)
+        .with_faults(&plan)
+        .with_recorder(recorder.clone())
+        .with_actuator(RetryPolicy::default())
+        .run(&app, &mut policy.build(&res).governor);
+
+    let (events, recorded) = counting(|| recorder.events());
+    let bytes = recorder.encode();
+    let (decoded, decoded_allocations) = counting(|| codec::decode(&bytes).expect("decodes"));
+    assert_eq!(decoded, events);
+
+    let named = events.iter().filter_map(SessionEvent::kernel);
+    for name in named.clone() {
+        assert!(
+            app.kernels.iter().any(|k| std::ptr::eq(&*k.name, name)),
+            "{name}: recorded a copy of the profile's name"
+        );
+    }
+    let resolved = events.iter().filter(|e| e.label() == "actuation-resolved").count() as u64;
+    let distinct = app.kernels.len() as u64;
+    let allowed = STREAM_ALLOCATIONS + distinct + resolved;
+    assert!(
+        resolved > 0 && named.count() as u64 > 2 * allowed,
+        "the session must exercise the retry shim and outnumber the allowance"
+    );
+    assert!(recorded <= allowed, "Recorder::events allocated {recorded} > {allowed}");
+    assert!(decoded_allocations <= allowed, "decode allocated {decoded_allocations} > {allowed}");
 }

@@ -167,7 +167,7 @@ fn harmonia_on_probe_applications_never_collapses() {
         probes::occupancy_probe(3),
         probes::balance_probe(8.0),
     ] {
-        let app = harmonia_workloads::Application::new(kernel.name.clone(), vec![kernel], 12);
+        let app = harmonia_workloads::Application::new(kernel.name.to_string(), vec![kernel], 12);
         let base = rt.run(&app, &mut PolicySpec::Baseline.build(&res).governor);
         let run = rt.run(&app, &mut PolicySpec::Harmonia.build(&res).governor);
         let loss = 1.0 - base.total_time.value() / run.total_time.value();

@@ -80,12 +80,12 @@ fn arb_event(tag: u8, seed: u64) -> SessionEvent {
             fault_seed: splitmix(&mut s),
         },
         1 => SessionEvent::Decision {
-            kernel: arb_name(&mut s),
+            kernel: arb_name(&mut s).into(),
             iteration: splitmix(&mut s),
             cfg: arb_cfg(&mut s),
         },
         2 => SessionEvent::Actuation {
-            kernel: arb_name(&mut s),
+            kernel: arb_name(&mut s).into(),
             iteration: splitmix(&mut s),
             kind: FaultKind::from_code((splitmix(&mut s) % FaultKind::ALL.len() as u64) as u8)
                 .expect("in range"),
@@ -93,7 +93,7 @@ fn arb_event(tag: u8, seed: u64) -> SessionEvent {
             actual: arb_cfg(&mut s),
         },
         3 => SessionEvent::Sample {
-            kernel: arb_name(&mut s),
+            kernel: arb_name(&mut s).into(),
             iteration: splitmix(&mut s),
             cfg: arb_cfg(&mut s),
             time_s: arb_f64(&mut s),
@@ -102,7 +102,7 @@ fn arb_event(tag: u8, seed: u64) -> SessionEvent {
             fast_forwarded_waves: splitmix(&mut s),
         },
         4 => SessionEvent::Conditioned {
-            kernel: arb_name(&mut s),
+            kernel: arb_name(&mut s).into(),
             iteration: splitmix(&mut s),
             time_s: arb_f64(&mut s),
             counters: arb_counters(&mut s),
@@ -193,7 +193,7 @@ fn trailing_bytes_are_rejected() {
 #[test]
 fn nan_payloads_survive_exactly() {
     let glitched = SessionEvent::Sample {
-        kernel: "bfs".to_string(),
+        kernel: "bfs".into(),
         iteration: 3,
         cfg: CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 },
         time_s: f64::from_bits(0x7ff8_0000_0000_1234), // NaN, nonstandard payload
