@@ -352,7 +352,7 @@ impl Governor for HarmoniaGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
+    use harmonia_types::{ComputeConfig, GridSpec, MegaHertz, MemoryConfig};
 
     fn governor() -> HarmoniaGovernor {
         HarmoniaGovernor::new(SensitivityPredictor::paper_table3())
@@ -521,8 +521,8 @@ mod tests {
         let g = HarmoniaGovernor::with_config(SensitivityPredictor::paper_table3(), custom);
         assert!(g.name().contains("cg=false"));
         let _ = HwConfig::new(
-            ComputeConfig::new(32, MegaHertz(1000)).unwrap(),
-            MemoryConfig::new(MegaHertz(1375)).unwrap(),
+            ComputeConfig::new_on(&GridSpec::HD7970, 32, MegaHertz(1000)).unwrap(),
+            MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(1375)).unwrap(),
         );
     }
 }

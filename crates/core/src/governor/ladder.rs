@@ -41,7 +41,7 @@
 use crate::governor::stack::{
     AnomalyCheck, BoxGovernor, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
 };
-use crate::governor::watchdog::{safe_state, WatchdogConfig};
+use crate::governor::watchdog::{safe_state, CheckConfig, WatchdogConfig};
 use crate::governor::Governor;
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_sim::{CounterSample, KernelProfile};
@@ -315,7 +315,7 @@ impl Ladder {
 /// [`layer`]: GovernorLayer::layer
 pub struct DegradeLayer<'a> {
     config: LadderConfig,
-    wd_config: WatchdogConfig,
+    check_config: CheckConfig,
     cg: BoxGovernor<'a>,
     freq: BoxGovernor<'a>,
     safe: HwConfig,
@@ -329,9 +329,9 @@ impl<'a> DegradeLayer<'a> {
     pub fn new(config: LadderConfig, cg: BoxGovernor<'a>, freq: BoxGovernor<'a>) -> Self {
         Self {
             config,
-            wd_config: WatchdogConfig {
+            check_config: CheckConfig {
                 check_actuation: true,
-                ..WatchdogConfig::default()
+                ..WatchdogConfig::default().check
             },
             cg,
             freq,
@@ -342,13 +342,12 @@ impl<'a> DegradeLayer<'a> {
     }
 
     /// Overrides the tuning of the ladder's counter check
-    /// ([`CounterCheck`](crate::governor::CounterCheck)), which reads only
-    /// `check_actuation`, `collapse_ratio` and `max_bw_gbps`; the ladder
-    /// checks actuation by default. The other fields are ignored here:
-    /// hold lengths come from the [`LadderConfig`], and the terminal
-    /// rung's configuration from [`with_safe_state`](Self::with_safe_state).
-    pub fn with_check_config(mut self, wd_config: WatchdogConfig) -> Self {
-        self.wd_config = wd_config;
+    /// ([`CounterCheck`](crate::governor::CounterCheck)); the ladder checks
+    /// actuation by default. Hold lengths come from the [`LadderConfig`],
+    /// and the terminal rung's configuration from
+    /// [`with_safe_state`](Self::with_safe_state).
+    pub fn with_check_config(mut self, check_config: CheckConfig) -> Self {
+        self.check_config = check_config;
         self
     }
 
@@ -384,7 +383,7 @@ impl<'a> GovernorLayer<'a> for DegradeLayer<'a> {
             safe: self.safe,
             ladder: Ladder::new(self.config),
             check: CounterCheck::new(),
-            wd_config: self.wd_config,
+            check_config: self.check_config,
             ledger: self.ledger,
             stats: self.stats,
             last_rejects: 0,
@@ -402,7 +401,7 @@ pub struct DegradeGovernor<'a> {
     safe: HwConfig,
     ladder: Ladder,
     check: CounterCheck,
-    wd_config: WatchdogConfig,
+    check_config: CheckConfig,
     ledger: DecisionLedger,
     stats: PolicyStats,
     /// Sanitizer reject total at the previous observation, for the
@@ -481,7 +480,7 @@ impl Governor for DegradeGovernor<'_> {
             kernel,
             cfg,
             counters,
-            &self.wd_config,
+            &self.check_config,
             granted,
             engaged_before,
         );

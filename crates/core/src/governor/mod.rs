@@ -50,7 +50,7 @@ pub use stack::{
     AnomalyCheck, BoxGovernor, CapCheck, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
     SanitizeLayer, TraceLayer, WatchdogLayer,
 };
-pub use watchdog::{safe_state, Watchdog, WatchdogConfig, WatchdogTransition};
+pub use watchdog::{safe_state, CheckConfig, Watchdog, WatchdogConfig, WatchdogTransition};
 
 use crate::telemetry::TraceHandle;
 use harmonia_sim::{CounterSample, KernelProfile};

@@ -34,8 +34,8 @@ use crate::governor::stack::{
     BoxGovernor, GovernorLayer, PolicyStats, SanitizeLayer, WatchdogLayer,
 };
 use crate::governor::{
-    BaselineGovernor, CappedGovernor, HarmoniaConfig, HarmoniaGovernor, OracleGovernor,
-    PowerTuneGovernor, WatchdogConfig,
+    BaselineGovernor, CappedGovernor, CheckConfig, HarmoniaConfig, HarmoniaGovernor,
+    OracleGovernor, PowerTuneGovernor, WatchdogConfig,
 };
 use crate::predictor::SensitivityPredictor;
 use crate::sanitize::{self, SanitizerConfig};
@@ -223,16 +223,12 @@ impl PolicySpec {
                 // quarantines suspect samples before Harmonia learns from
                 // them.
                 let guarded = hardened_core(res, &stats);
-                let cap_layer = WatchdogLayer::cap(
-                    WatchdogConfig {
-                        check_actuation: true,
-                        safe: res.device.safe_state(),
-                        ..WatchdogConfig::default()
-                    },
-                    res.power,
-                    cap,
-                    &stats,
-                );
+                let mut config = WatchdogConfig {
+                    safe: res.device.safe_state(),
+                    ..WatchdogConfig::default()
+                };
+                config.check.check_actuation = true;
+                let cap_layer = WatchdogLayer::cap(config, res.power, cap, &stats);
                 let ledger = cap_layer.ledger();
                 Box::new(
                     CappedGovernor::new(cap_layer.layer(guarded), res.power, cap)
@@ -252,10 +248,10 @@ impl PolicySpec {
                     Box::new(harmonia(HarmoniaConfig::cg_only())),
                     Box::new(harmonia(HarmoniaConfig::freq_only())),
                 )
-                .with_check_config(WatchdogConfig {
+                .with_check_config(CheckConfig {
                     check_actuation: true,
                     max_bw_gbps: sanitize::max_bw_gbps_on(&grid),
-                    ..WatchdogConfig::default()
+                    ..WatchdogConfig::default().check
                 })
                 .with_safe_state(res.device.safe_state())
                 .with_stats(&stats);
@@ -286,13 +282,14 @@ fn hardened_core<'a>(res: &PolicyResources<'a>, stats: &PolicyStats) -> BoxGover
             res.predictor.clone(),
             HarmoniaConfig::default().on_grid(grid),
         )));
-    WatchdogLayer::counters(WatchdogConfig {
+    let mut config = WatchdogConfig {
         safe: res.device.safe_state(),
-        max_bw_gbps: sanitize::max_bw_gbps_on(&grid),
         ..WatchdogConfig::default()
-    })
-    .with_stats(stats)
-    .layer(sanitized)
+    };
+    config.check.max_bw_gbps = sanitize::max_bw_gbps_on(&grid);
+    WatchdogLayer::counters(config)
+        .with_stats(stats)
+        .layer(sanitized)
 }
 
 /// The default sanitizer tuning with the bandwidth ceiling of `grid`'s bus.

@@ -37,7 +37,7 @@
 //!   ladder rung residency and shifts), one allocation per stack, that
 //!   stay readable after the stack is boxed into a `dyn Governor`.
 
-use crate::governor::watchdog::{Watchdog, WatchdogConfig, WatchdogTransition};
+use crate::governor::watchdog::{CheckConfig, Watchdog, WatchdogConfig, WatchdogTransition};
 use crate::governor::{Governor, KernelMap};
 use crate::sanitize::{self, CounterSanitizer, SanitizerConfig};
 use crate::telemetry::{TraceEvent, TraceHandle};
@@ -221,7 +221,7 @@ pub trait AnomalyCheck {
         kernel: &KernelProfile,
         cfg: HwConfig,
         counters: &CounterSample,
-        config: &WatchdogConfig,
+        config: &CheckConfig,
         granted: Option<HwConfig>,
         engaged_before: bool,
     ) -> Option<&'static str>;
@@ -256,7 +256,7 @@ impl AnomalyCheck for CounterCheck {
         kernel: &KernelProfile,
         cfg: HwConfig,
         counters: &CounterSample,
-        config: &WatchdogConfig,
+        config: &CheckConfig,
         granted: Option<HwConfig>,
         engaged_before: bool,
     ) -> Option<&'static str> {
@@ -319,7 +319,7 @@ impl AnomalyCheck for CapCheck<'_> {
         _kernel: &KernelProfile,
         cfg: HwConfig,
         counters: &CounterSample,
-        config: &WatchdogConfig,
+        config: &CheckConfig,
         granted: Option<HwConfig>,
         engaged_before: bool,
     ) -> Option<&'static str> {
@@ -478,7 +478,7 @@ impl Governor for WatchdogGovernor<'_> {
             kernel,
             cfg,
             counters,
-            self.watchdog.config(),
+            &self.watchdog.config().check,
             granted,
             engaged_before,
         );

@@ -23,7 +23,7 @@
 //! all compute units at a low DPM clock with the memory bus untouched.
 
 use crate::sanitize::DEFAULT_MAX_BW_GBPS;
-use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig};
+use harmonia_types::{ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig};
 
 /// The safe PowerTune-equivalent state fallback decisions pin to: all 32
 /// CUs at the 500 MHz DPM clock, memory at full speed. Matching the DPM
@@ -35,30 +35,19 @@ use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig};
 /// which derives the equivalent mid-ladder DPM state on that device's grid.
 pub fn safe_state() -> HwConfig {
     HwConfig::new(
-        ComputeConfig::new(32, MegaHertz(500)).expect("DPM state is on the grid"),
+        ComputeConfig::new_on(&GridSpec::HD7970, 32, MegaHertz(500))
+            .expect("DPM state is on the grid"),
         MemoryConfig::max_hd7970(),
     )
 }
 
-/// Tuning for a [`Watchdog`].
-///
-/// A [`DegradeLayer`](crate::governor::DegradeLayer) borrows this type for
-/// its counter check and reads only `check_actuation`, `collapse_ratio` and
-/// `max_bw_gbps`: `threshold`, `base_hold`, `max_hold`, `clean_reset` and
-/// `safe` have no effect there (see
-/// [`DegradeLayer::with_check_config`](crate::governor::DegradeLayer::with_check_config)).
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Consecutive anomalous intervals before fallback engages.
-    pub threshold: u32,
-    /// Intervals the first engagement holds the safe state.
-    pub base_hold: u64,
-    /// Backoff ceiling for the hold length.
-    pub max_hold: u64,
-    /// Consecutive clean (disengaged) intervals that reset the backoff.
-    pub clean_reset: u32,
-    /// The configuration decisions pin to while engaged.
-    pub safe: HwConfig,
+/// What an [`AnomalyCheck`](crate::governor::AnomalyCheck) reads of its
+/// tuning. A [`WatchdogLayer`](crate::governor::WatchdogLayer) takes it
+/// inside its [`WatchdogConfig`]; a
+/// [`DegradeLayer`](crate::governor::DegradeLayer) takes it alone, since
+/// the ladder's hold lengths and terminal state are its own.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckConfig {
     /// Whether the observed configuration is checked against the decided
     /// one. Leave off for governors whose decisions are legitimately
     /// overridden downstream (e.g. wrapped by a power-cap decorator).
@@ -72,6 +61,23 @@ pub struct WatchdogConfig {
     pub max_bw_gbps: f64,
 }
 
+/// Tuning for a [`Watchdog`] and the anomaly check it drives.
+#[derive(Debug, Clone)]
+pub struct WatchdogConfig {
+    /// Consecutive anomalous intervals before fallback engages.
+    pub threshold: u32,
+    /// Intervals the first engagement holds the safe state.
+    pub base_hold: u64,
+    /// Backoff ceiling for the hold length.
+    pub max_hold: u64,
+    /// Consecutive clean (disengaged) intervals that reset the backoff.
+    pub clean_reset: u32,
+    /// The configuration decisions pin to while engaged.
+    pub safe: HwConfig,
+    /// What the anomaly check reads.
+    pub check: CheckConfig,
+}
+
 impl Default for WatchdogConfig {
     fn default() -> Self {
         Self {
@@ -80,9 +86,11 @@ impl Default for WatchdogConfig {
             max_hold: 64,
             clean_reset: 16,
             safe: safe_state(),
-            check_actuation: false,
-            collapse_ratio: 0.02,
-            max_bw_gbps: DEFAULT_MAX_BW_GBPS,
+            check: CheckConfig {
+                check_actuation: false,
+                collapse_ratio: 0.02,
+                max_bw_gbps: DEFAULT_MAX_BW_GBPS,
+            },
         }
     }
 }

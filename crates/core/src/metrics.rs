@@ -5,7 +5,7 @@
 //! studies power-state *residency* — the fraction of time each tunable
 //! spends at each value (Figures 15–16).
 
-use harmonia_types::{HwConfig, Joules, Seconds, Tunable, Watts};
+use harmonia_types::{ConfigPoint, HwConfig, Joules, Seconds, Tunable, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,15 +60,16 @@ impl Residency {
         Self::default()
     }
 
-    /// Records `dt` seconds spent at `cfg`.
-    pub fn record(&mut self, cfg: HwConfig, dt: Seconds) {
+    /// Records `dt` seconds spent at `cfg`, keyed by its raw tunable values
+    /// (whatever grid they lie on).
+    pub fn record(&mut self, cfg: ConfigPoint, dt: Seconds) {
         let dt = dt.value();
         if dt <= 0.0 {
             return;
         }
-        *self.cu_count.entry(cfg.raw_value(Tunable::CuCount)).or_insert(0.0) += dt;
-        *self.cu_freq.entry(cfg.raw_value(Tunable::CuFreq)).or_insert(0.0) += dt;
-        *self.mem_freq.entry(cfg.raw_value(Tunable::MemFreq)).or_insert(0.0) += dt;
+        *self.cu_count.entry(cfg.cu).or_insert(0.0) += dt;
+        *self.cu_freq.entry(cfg.cu_mhz).or_insert(0.0) += dt;
+        *self.mem_freq.entry(cfg.mem_mhz).or_insert(0.0) += dt;
         self.total += dt;
     }
 
@@ -186,13 +187,9 @@ pub fn relative_performance(baseline: Seconds, candidate: Seconds) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
 
-    fn cfg(cu: u32, f: u32, m: u32) -> HwConfig {
-        HwConfig::new(
-            ComputeConfig::new(cu, MegaHertz(f)).unwrap(),
-            MemoryConfig::new(MegaHertz(m)).unwrap(),
-        )
+    fn pt(cu: u32, cu_mhz: u32, mem_mhz: u32) -> ConfigPoint {
+        ConfigPoint { cu, cu_mhz, mem_mhz }
     }
 
     fn report(time: f64, energy: f64) -> RunReport {
@@ -258,8 +255,8 @@ mod tests {
     #[test]
     fn residency_fractions_sum_to_one_per_tunable() {
         let mut r = Residency::new();
-        r.record(cfg(32, 1000, 1375), Seconds(3.0));
-        r.record(cfg(32, 1000, 775), Seconds(1.0));
+        r.record(pt(32, 1000, 1375), Seconds(3.0));
+        r.record(pt(32, 1000, 775), Seconds(1.0));
         assert!((r.fraction(Tunable::MemFreq, 1375) - 0.75).abs() < 1e-12);
         assert!((r.fraction(Tunable::MemFreq, 775) - 0.25).abs() < 1e-12);
         assert_eq!(r.fraction(Tunable::MemFreq, 475), 0.0);
@@ -274,8 +271,8 @@ mod tests {
     #[test]
     fn residency_ignores_nonpositive_durations() {
         let mut r = Residency::new();
-        r.record(cfg(32, 1000, 1375), Seconds(0.0));
-        r.record(cfg(32, 1000, 1375), Seconds(-1.0));
+        r.record(pt(32, 1000, 1375), Seconds(0.0));
+        r.record(pt(32, 1000, 1375), Seconds(-1.0));
         assert!(r.distribution(Tunable::CuCount).is_empty());
         assert_eq!(r.fraction(Tunable::CuCount, 32), 0.0);
     }

@@ -367,7 +367,11 @@ impl<'a> Runtime<'a> {
                 // identically, so a replayed session re-produces the
                 // recording bit for bit.
                 let actuation = match (&self.replay, self.faults) {
-                    (Some(rep), _) => match rep.actuation_event_for(&kernel.name, iteration) {
+                    (Some(rep), _) => match rep.actuation_event_for(
+                        &self.model.gpu().grid,
+                        &kernel.name,
+                        iteration,
+                    ) {
                         Some(ReplayedActuation::Fault { kind, actual }) if actual != decided => {
                             Actuation::Fault { kind, actual }
                         }
@@ -509,7 +513,7 @@ impl<'a> Runtime<'a> {
                 card_energy += breakdown.card_pwr() * dt;
                 gpu_energy += breakdown.gpu_pwr() * dt;
                 mem_energy += breakdown.mem_pwr() * dt;
-                residency.record(cfg, dt);
+                residency.record(cfg.into(), dt);
                 self.telemetry.emit(|| TraceEvent::KernelEnd {
                     kernel: kernel.name.to_string(),
                     iteration,

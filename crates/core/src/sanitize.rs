@@ -701,7 +701,9 @@ mod tests {
         let mut s = sanitizer();
         let trace = TraceHandle::disabled();
         let a = HwConfig::max_hd7970();
-        let b = a.step_down(harmonia_types::Tunable::MemFreq).unwrap();
+        let b = a
+            .step_down_on(&GridSpec::HD7970, harmonia_types::Tunable::MemFreq)
+            .unwrap();
         for i in 0..8 {
             s.sanitize("k", i, a, Seconds(0.01), good(), &trace);
         }

@@ -33,7 +33,7 @@
 use crate::binning::SensitivityBin;
 use crate::metrics::{Residency, RunReport};
 use harmonia_sim::CounterSample;
-use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig, Seconds, Tunable};
+use harmonia_types::{Seconds, Tunable};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -48,38 +48,8 @@ pub use harmonia_types::session::TRACE_ENV;
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// A hardware operating point in trace-friendly form: the three raw tunable
-/// values. Compact in JSONL and trivially diffable, unlike the nested
-/// [`HwConfig`] serialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ConfigPoint {
-    /// Active compute units.
-    pub cu: u32,
-    /// Compute clock in MHz.
-    pub cu_mhz: u32,
-    /// Memory bus clock in MHz.
-    pub mem_mhz: u32,
-}
-
-impl From<HwConfig> for ConfigPoint {
-    fn from(cfg: HwConfig) -> Self {
-        Self {
-            cu: cfg.compute.cu_count(),
-            cu_mhz: cfg.compute.freq().value(),
-            mem_mhz: cfg.memory.bus_freq().value(),
-        }
-    }
-}
-
-impl ConfigPoint {
-    /// Reconstructs the validated [`HwConfig`]; `None` if the point is off
-    /// the hardware grid (e.g. a hand-edited trace).
-    pub fn to_hw(self) -> Option<HwConfig> {
-        Some(HwConfig::new(
-            ComputeConfig::new(self.cu, MegaHertz(self.cu_mhz)).ok()?,
-            MemoryConfig::new(MegaHertz(self.mem_mhz)).ok()?,
-        ))
-    }
-}
+/// values, shared with the session trace (`harmonia_rr::CfgPoint`).
+pub use harmonia_types::ConfigPoint;
 
 /// One structured event of the decision trace.
 ///
@@ -978,9 +948,7 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
                 if fallback_active {
                     s.fallback_invocations += 1;
                 }
-                if let Some(hw) = cfg.to_hw() {
-                    s.residency.record(hw, Seconds(*time_s));
-                }
+                s.residency.record(*cfg, Seconds(*time_s));
             }
             TraceEvent::FastForward { .. } => s.fast_forwards += 1,
             TraceEvent::Prediction { .. } => s.predictions += 1,
@@ -1027,9 +995,7 @@ pub fn residency_between(events: &[TraceEvent], lo: u64, hi: u64) -> Residency {
     for ev in events {
         if let TraceEvent::KernelEnd { iteration, cfg, time_s, .. } = ev {
             if (lo..hi).contains(iteration) {
-                if let Some(hw) = cfg.to_hw() {
-                    residency.record(hw, Seconds(*time_s));
-                }
+                residency.record(*cfg, Seconds(*time_s));
             }
         }
     }
@@ -1123,12 +1089,20 @@ mod tests {
     }
 
     #[test]
-    fn config_point_round_trips() {
-        let cfg = HwConfig::max_hd7970();
-        let p = ConfigPoint::from(cfg);
-        assert_eq!(p, pt(32, 1000, 1375));
-        assert_eq!(p.to_hw(), Some(cfg));
-        assert_eq!(pt(33, 1000, 1375).to_hw(), None, "off-grid points reject");
+    fn residency_records_the_traces_raw_clocks() {
+        // A point off the HD7970 grid (another device's clocks) counts like
+        // any other: reading a trace does not re-validate its points.
+        let foreign = pt(80, 1530, 877);
+        let events = vec![
+            start("k", 0, foreign),
+            end("k", 0, foreign, 2.0),
+            end("k", 1, pt(32, 1000, 1375), 2.0),
+        ];
+        let residency = summarize(&events).residency;
+        assert_eq!(residency.fraction(Tunable::MemFreq, 877), 0.5);
+        assert_eq!(residency.fraction(Tunable::CuCount, 80), 0.5);
+        let early = residency_between(&events, 0, 1);
+        assert_eq!(early.distribution(Tunable::CuFreq), vec![(1530, 1.0)]);
     }
 
     #[test]

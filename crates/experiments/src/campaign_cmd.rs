@@ -12,8 +12,8 @@
 //! 1. **cap-while-parked** — zero cap violations while safe-state fallback
 //!    (or the ladder's bottom rung) was engaged;
 //! 2. **grid-valid** — every configuration in the recorded session
-//!    (decisions, actuation outcomes, samples) maps back onto the hardware
-//!    grid;
+//!    (decisions, actuation outcomes, samples) maps back onto the grid of
+//!    the device the campaign runs on;
 //! 3. **finite-accounting** — session totals and ED² are finite: no NaN
 //!    escaped the sanitizer into the energy accounting;
 //! 4. **replay-bit-exact** — the recorded session replays bit-exactly
@@ -178,11 +178,12 @@ fn check_case(
     if recorded.stats.violations_while_fallback() > 0 {
         violated.push("cap-while-parked");
     }
+    let grid = ctx.device().grid();
     if recorded
         .events
         .iter()
         .flat_map(event_configs)
-        .any(|cfg| cfg.to_hw().is_none())
+        .any(|cfg| cfg.to_hw_on(grid).is_none())
     {
         violated.push("grid-valid");
     }

@@ -241,7 +241,8 @@ pub fn fig6(ctx: &Context) -> Report {
         "Energy- vs ED²- vs performance-optimal configurations",
         &["app", "optimized for", "perf", "energy", "ED²", "config"],
     );
-    let configs: Vec<HwConfig> = ConfigSpace::for_grid(&ctx.model().gpu().grid).iter().collect();
+    let grid = ctx.model().gpu().grid;
+    let configs: Vec<HwConfig> = ConfigSpace::for_grid(&grid).iter().collect();
     for app in [suite::lud(), suite::devicememory()] {
         // Exhaustive sweep: one batched grid pass per (invocation, kernel)
         // through the memoization cache (which collapses the iteration loop
@@ -291,7 +292,13 @@ pub fn fig6(ctx: &Context) -> Report {
                 num(best_perf.1 / e.1, 2),
                 num(e.2 / best_perf.2, 2),
                 num((e.2 * e.1 * e.1) / (best_perf.2 * best_perf.1 * best_perf.1), 2),
-                e.0.to_string(),
+                // `HwConfig`'s Display, with bandwidth on this device's bus.
+                format!(
+                    "{}, mem {} ({:.0} GB/s)",
+                    e.0.compute,
+                    e.0.memory.bus_freq(),
+                    e.0.memory.peak_bandwidth_on(&grid).value()
+                ),
             ]);
         }
     }

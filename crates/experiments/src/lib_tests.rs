@@ -4,6 +4,7 @@
 //! runs five governors over the whole suite).
 
 use crate::{run, Context, ALL_EXPERIMENTS};
+use harmonia_types::{DeviceSpec, MegaHertz, MemoryConfig};
 
 fn ctx() -> Context {
     Context::new()
@@ -103,6 +104,25 @@ fn fig2_matches_the_device_descriptor() {
     assert_eq!(find("compute units"), "32");
     assert_eq!(find("memory channels"), "6");
     assert_eq!(find("shared L2"), "768 KiB");
+}
+
+#[test]
+fn fig6_configs_print_bandwidth_on_the_devices_bus() {
+    for name in DeviceSpec::catalog() {
+        let device = DeviceSpec::lookup(name).expect("catalog names resolve");
+        let grid = *device.grid();
+        let r = run(&Context::for_device(device), "fig6").expect("known id");
+        for row in &r.rows {
+            // "<compute>, mem 875 MHz (896 GB/s)"
+            let config = &row[5];
+            let mem = config.split("mem ").nth(1).expect("a memory clock");
+            let mhz: u32 = mem.split(' ').next().and_then(|v| v.parse().ok()).expect("MHz");
+            let bw = MemoryConfig::new_on(&grid, MegaHertz(mhz))
+                .expect("a clock of the device's grid")
+                .peak_bandwidth_on(&grid);
+            assert!(config.ends_with(&format!("({:.0} GB/s)", bw.value())), "{name}: {config}");
+        }
+    }
 }
 
 #[test]

@@ -34,7 +34,8 @@
 //! use harmonia_types::HwConfig;
 //!
 //! let model = PowerModel::hd7970();
-//! let busy = Activity::streaming(0.4, 0.9); // moderately busy ALUs, hot memory
+//! // Moderately busy ALUs, hot memory.
+//! let busy = Activity::streaming_on(model.grid(), 0.4, 0.9);
 //! let p = model.breakdown(HwConfig::max_hd7970(), &busy);
 //! assert!(p.card_pwr().value() > 100.0);
 //! assert!(p.mem_pwr().value() > 0.0);

@@ -15,7 +15,6 @@
 //! captured by [`MemoryPowerParams::voltage_scaling`], off by default to
 //! mirror the real platform and available for what-if studies.
 
-use harmonia_types::config::MEM_FREQ_MAX;
 use harmonia_types::{HwConfig, MegaHertz, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -47,22 +46,11 @@ impl MemoryPower {
     }
 }
 
-/// Evaluates memory power for a configuration and observed DRAM traffic on
-/// the HD7970 (slowdown is measured against its 1375 MHz maximum bus clock).
-///
-/// * `dram_bytes_per_sec` — achieved DRAM read+write traffic.
-pub fn memory_power(
-    params: &MemoryPowerParams,
-    cfg: HwConfig,
-    dram_bytes_per_sec: f64,
-) -> MemoryPower {
-    memory_power_at(params, cfg, dram_bytes_per_sec, MEM_FREQ_MAX.as_ghz())
-}
-
-/// Evaluates memory power with an explicit reference (maximum) bus clock in
-/// GHz — the device-grid-aware core of [`memory_power`]. Slow-clock access
-/// penalties and the voltage-scaling what-if are both relative to
-/// `f_max_ghz`.
+/// Evaluates memory power for a configuration and observed DRAM traffic
+/// (`dram_bytes_per_sec`, achieved read+write traffic) against the device's
+/// reference (maximum) bus clock `f_max_ghz` — 1.375 on the HD7970.
+/// Slow-clock access penalties and the voltage-scaling what-if are both
+/// relative to `f_max_ghz`.
 pub fn memory_power_at(
     params: &MemoryPowerParams,
     cfg: HwConfig,
@@ -141,13 +129,20 @@ pub(crate) fn memory_power_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
+    use harmonia_types::{ComputeConfig, GridSpec, MegaHertz, MemoryConfig};
+
+    const HD: GridSpec = GridSpec::HD7970;
 
     fn cfg_mem(m: u32) -> HwConfig {
         HwConfig::new(
             ComputeConfig::max_hd7970(),
-            MemoryConfig::new(MegaHertz(m)).unwrap(),
+            MemoryConfig::new_on(&HD, MegaHertz(m)).unwrap(),
         )
+    }
+
+    /// Memory power on the HD7970, whose 1375 MHz bus is the reference.
+    fn memory_power(params: &MemoryPowerParams, cfg: HwConfig, traffic: f64) -> MemoryPower {
+        memory_power_at(params, cfg, traffic, HD.mem_freq_max.as_ghz())
     }
 
     #[test]

@@ -22,22 +22,10 @@ pub struct Activity {
 }
 
 impl Activity {
-    /// Convenience constructor for a streaming workload on the HD7970:
+    /// Convenience constructor for a streaming workload on a device grid:
     /// `valu` ALU activity and a memory system running at `traffic_fraction`
-    /// of the maximum 264 GB/s.
-    pub fn streaming(valu: f64, traffic_fraction: f64) -> Self {
-        let traffic_fraction = traffic_fraction.clamp(0.0, 1.0);
-        Self {
-            valu_activity: valu.clamp(0.0, 1.0),
-            dram_bytes_per_sec: traffic_fraction * 264.0e9,
-            dram_traffic_fraction: traffic_fraction,
-        }
-    }
-
-    /// Device-grid-aware [`streaming`](Self::streaming): traffic is
-    /// `traffic_fraction` of the grid's peak bandwidth at the maximum bus
-    /// clock. Identical to `streaming` on the HD7970 grid
-    /// (1375 MHz × 192 B/clk = 264 GB/s exactly).
+    /// of the grid's peak bandwidth at the maximum bus clock (on the HD7970,
+    /// 1375 MHz × 192 B/clk = 264 GB/s exactly).
     pub fn streaming_on(grid: &GridSpec, valu: f64, traffic_fraction: f64) -> Self {
         let traffic_fraction = traffic_fraction.clamp(0.0, 1.0);
         let peak = grid.mem_freq_max.as_hz() * grid.bytes_per_clock();
@@ -363,17 +351,22 @@ mod tests {
     use super::*;
     use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
 
+    const HD: GridSpec = GridSpec::HD7970;
+
     fn cfg(cu: u32, f: u32, m: u32) -> HwConfig {
         HwConfig::new(
-            ComputeConfig::new(cu, MegaHertz(f)).unwrap(),
-            MemoryConfig::new(MegaHertz(m)).unwrap(),
+            ComputeConfig::new_on(&HD, cu, MegaHertz(f)).unwrap(),
+            MemoryConfig::new_on(&HD, MegaHertz(m)).unwrap(),
         )
     }
 
     #[test]
     fn eq4_accounting_is_consistent() {
         let model = PowerModel::hd7970();
-        let p = model.breakdown(HwConfig::max_hd7970(), &Activity::streaming(0.5, 0.8));
+        let p = model.breakdown(
+            HwConfig::max_hd7970(),
+            &Activity::streaming_on(&HD, 0.5, 0.8),
+        );
         let derived_mem = p.card_pwr() - p.gpu_pwr() - p.other_pwr();
         assert!((derived_mem.value() - p.mem_pwr().value()).abs() < 1e-9);
     }
@@ -383,7 +376,10 @@ mod tests {
         // Figure 1: memory is a major consumer for memory-intensive
         // workloads: expect ≥20% of card power.
         let model = PowerModel::hd7970();
-        let p = model.breakdown(HwConfig::max_hd7970(), &Activity::streaming(0.25, 0.95));
+        let p = model.breakdown(
+            HwConfig::max_hd7970(),
+            &Activity::streaming_on(&HD, 0.25, 0.95),
+        );
         let share = p.mem_pwr() / p.card_pwr();
         assert!(share > 0.20, "memory share {share} too small");
         assert!(share < 0.50, "memory share {share} implausibly large");
@@ -394,7 +390,7 @@ mod tests {
         // Figure 4: board power varies by roughly 70% across compute
         // configurations at fixed max memory bandwidth.
         let model = PowerModel::hd7970();
-        let act = Activity::streaming(0.3, 0.9);
+        let act = Activity::streaming_on(&HD, 0.3, 0.9);
         let hi = model.card_pwr(cfg(32, 1000, 1375), &act).value();
         let lo = model.card_pwr(cfg(4, 300, 1375), &act).value();
         let span = (hi - lo) / lo;
@@ -409,7 +405,7 @@ mod tests {
         // Figure 5: ~10% power variation across memory configs at the max
         // compute configuration, fixed memory voltage.
         let model = PowerModel::hd7970();
-        let act = Activity::streaming(1.0, 0.05);
+        let act = Activity::streaming_on(&HD, 1.0, 0.05);
         let hi = model.card_pwr(cfg(32, 1000, 1375), &act).value();
         let lo = model.card_pwr(cfg(32, 1000, 475), &act).value();
         let span = (hi - lo) / hi;
@@ -423,14 +419,14 @@ mod tests {
     fn other_power_is_constant() {
         let model = PowerModel::hd7970();
         let a = model.breakdown(cfg(4, 300, 475), &Activity::idle());
-        let b = model.breakdown(cfg(32, 1000, 1375), &Activity::streaming(1.0, 1.0));
+        let b = model.breakdown(cfg(32, 1000, 1375), &Activity::streaming_on(&HD, 1.0, 1.0));
         assert_eq!(a.other_pwr(), b.other_pwr());
     }
 
     #[test]
     fn card_power_monotone_in_each_tunable() {
         let model = PowerModel::hd7970();
-        let act = Activity::streaming(0.6, 0.6);
+        let act = Activity::streaming_on(&HD, 0.6, 0.6);
         assert!(model.card_pwr(cfg(8, 500, 925), &act) < model.card_pwr(cfg(16, 500, 925), &act));
         assert!(model.card_pwr(cfg(8, 500, 925), &act) < model.card_pwr(cfg(8, 800, 925), &act));
         assert!(model.card_pwr(cfg(8, 500, 475), &act) < model.card_pwr(cfg(8, 500, 1375), &act));
@@ -439,7 +435,10 @@ mod tests {
     #[test]
     fn max_config_tdp_plausible() {
         let model = PowerModel::hd7970();
-        let p = model.card_pwr(HwConfig::max_hd7970(), &Activity::streaming(1.0, 0.9));
+        let p = model.card_pwr(
+            HwConfig::max_hd7970(),
+            &Activity::streaming_on(&HD, 1.0, 0.9),
+        );
         assert!(
             (200.0..300.0).contains(&p.value()),
             "card power {p} not in HD7970 TDP ballpark"
@@ -450,7 +449,7 @@ mod tests {
     fn stacked_package_memory_is_cheaper() {
         let discrete = PowerModel::hd7970();
         let stacked = PowerModel::stacked_package();
-        let act = Activity::streaming(0.3, 0.9);
+        let act = Activity::streaming_on(&HD, 0.3, 0.9);
         let cfg = HwConfig::max_hd7970();
         let d = discrete.breakdown(cfg, &act);
         let s = stacked.breakdown(cfg, &act);
@@ -466,13 +465,9 @@ mod tests {
         let device = PowerModel::for_device(&DeviceSpec::hd7970());
         assert_eq!(legacy, device);
         // And it evaluates bit-identically.
-        let act = Activity::streaming(0.5, 0.8);
+        let act = Activity::streaming_on(&HD, 0.5, 0.8);
         let cfg = HwConfig::max_hd7970();
         assert_eq!(legacy.breakdown(cfg, &act), device.breakdown(cfg, &act));
-        assert_eq!(
-            Activity::streaming(0.5, 0.8),
-            Activity::streaming_on(device.grid(), 0.5, 0.8)
-        );
     }
 
     #[test]
@@ -544,7 +539,10 @@ mod tests {
     fn idle_power_well_below_busy() {
         let model = PowerModel::hd7970();
         let idle = model.card_pwr(HwConfig::max_hd7970(), &Activity::idle());
-        let busy = model.card_pwr(HwConfig::max_hd7970(), &Activity::streaming(1.0, 0.9));
+        let busy = model.card_pwr(
+            HwConfig::max_hd7970(),
+            &Activity::streaming_on(&HD, 1.0, 0.9),
+        );
         assert!(idle.value() < 0.7 * busy.value());
     }
 }

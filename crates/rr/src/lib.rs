@@ -40,52 +40,15 @@ pub use model::{RecordingModel, ReplayModel};
 
 use harmonia_sim::model::FastForwardStats;
 use harmonia_sim::{ActuationOutcome, CounterSample, FaultKind, SimResult};
-use harmonia_types::{HwConfig, Seconds};
+use harmonia_types::{GridSpec, HwConfig, Seconds};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// A hardware configuration as recorded in a session trace: the raw
-/// `(CU count, compute MHz, memory MHz)` triple. A deliberate duplicate of
-/// the telemetry layer's `ConfigPoint` — this crate sits *below*
-/// `harmonia` (core) in the dependency order so the runtime can depend on
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CfgPoint {
-    /// Active compute units.
-    pub cu: u32,
-    /// Compute clock in MHz.
-    pub cu_mhz: u32,
-    /// Memory bus clock in MHz.
-    pub mem_mhz: u32,
-}
-
-impl From<HwConfig> for CfgPoint {
-    fn from(cfg: HwConfig) -> Self {
-        Self {
-            cu: cfg.compute.cu_count(),
-            cu_mhz: cfg.compute.freq().value(),
-            mem_mhz: cfg.memory.bus_freq().value(),
-        }
-    }
-}
-
-impl CfgPoint {
-    /// Reconstructs the validated [`HwConfig`]; `None` if the point is off
-    /// the hardware grid (e.g. a hand-edited trace).
-    pub fn to_hw(self) -> Option<HwConfig> {
-        use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
-        Some(HwConfig::new(
-            ComputeConfig::new(self.cu, MegaHertz(self.cu_mhz)).ok()?,
-            MemoryConfig::new(MegaHertz(self.mem_mhz)).ok()?,
-        ))
-    }
-}
-
-impl fmt::Display for CfgPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}cu/{}MHz/{}MHz", self.cu, self.cu_mhz, self.mem_mhz)
-    }
-}
+/// `(CU count, compute MHz, memory MHz)` triple. The same type as the
+/// telemetry layer's `ConfigPoint`; replay validates it on the replaying
+/// device's grid ([`to_hw_on`](harmonia_types::ConfigPoint::to_hw_on)).
+pub use harmonia_types::ConfigPoint as CfgPoint;
 
 /// One recorded event of a session trace, in execution order.
 ///
@@ -757,32 +720,17 @@ impl Replayer {
         }
     }
 
-    /// The recorded single-fault actuation for this invocation, if one was
-    /// recorded. The legacy (v1) probe: a recorded retry-pipeline
-    /// resolution at the cursor is a structural error through this method —
-    /// use [`actuation_event_for`](Self::actuation_event_for) to serve both
-    /// shapes.
-    pub fn actuation_for(&self, kernel: &str, iteration: u64) -> Option<(FaultKind, HwConfig)> {
-        match self.actuation_event_for(kernel, iteration) {
-            Some(ReplayedActuation::Fault { kind, actual }) => Some((kind, actual)),
-            Some(ReplayedActuation::Resolved { .. }) => {
-                let mut c = self.inner.lock().expect("replayer poisoned");
-                let pos = c.pos.saturating_sub(1);
-                c.fail(
-                    pos,
-                    "recorded retry-pipeline resolution served through the legacy probe".into(),
-                );
-                None
-            }
-            None => None,
-        }
-    }
-
     /// The recorded actuation outcome for this invocation, if one was
     /// recorded, in either trace shape: scans past deterministic events;
     /// stops (without consuming) at the invocation's sample when actuation
-    /// was clean.
-    pub fn actuation_event_for(&self, kernel: &str, iteration: u64) -> Option<ReplayedActuation> {
+    /// was clean. The recorded configuration is validated on `grid`, the
+    /// grid of the device doing the replay.
+    pub fn actuation_event_for(
+        &self,
+        grid: &GridSpec,
+        kernel: &str,
+        iteration: u64,
+    ) -> Option<ReplayedActuation> {
         let mut c = self.inner.lock().expect("replayer poisoned");
         loop {
             let pos = c.pos;
@@ -790,7 +738,7 @@ impl Replayer {
                 Some(SessionEvent::Actuation { kernel: k, iteration: it, kind, actual, .. }) => {
                     return if **k == *kernel && *it == iteration {
                         let kind = *kind;
-                        let hw = actual.to_hw();
+                        let hw = actual.to_hw_on(grid);
                         c.pos = pos + 1;
                         match hw {
                             Some(actual) => Some(ReplayedActuation::Fault { kind, actual }),
@@ -819,7 +767,7 @@ impl Replayer {
                 }) => {
                     return if **k == *kernel && *it == iteration {
                         let (outcome, attempts, kinds) = (*outcome, *attempts, kinds.clone());
-                        let hw = actual.to_hw();
+                        let hw = actual.to_hw_on(grid);
                         c.pos = pos + 1;
                         match hw {
                             Some(actual) => Some(ReplayedActuation::Resolved {
@@ -928,6 +876,9 @@ impl Replayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_types::DeviceSpec;
+
+    const HD: GridSpec = GridSpec::HD7970;
 
     fn sample(kernel: &str, iteration: u64, t: f64) -> SessionEvent {
         SessionEvent::Sample {
@@ -970,7 +921,7 @@ mod tests {
     #[test]
     fn replayer_serves_actuations_then_samples_in_order() {
         let cfg = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 };
-        let hw = cfg.to_hw().unwrap();
+        let hw = cfg.to_hw_on(&HD).unwrap();
         let events = vec![
             SessionEvent::SessionStart {
                 app: "a".into(),
@@ -990,14 +941,18 @@ mod tests {
             sample("k", 1, 0.25),
         ];
         let rep = Replayer::new(events);
-        let (kind, actual) = rep.actuation_for("k", 0).expect("recorded actuation");
-        assert_eq!(kind, FaultKind::DvfsDeny);
-        assert_eq!(actual, hw);
+        assert_eq!(
+            rep.actuation_event_for(&HD, "k", 0),
+            Some(ReplayedActuation::Fault {
+                kind: FaultKind::DvfsDeny,
+                actual: hw
+            })
+        );
         let r0 = rep.sample_for(hw, "k", 0).expect("sample 0");
         assert_eq!(r0.time.value(), 0.5);
         // Second invocation had clean actuation: the replayer must not
         // consume its sample while answering the actuation probe.
-        assert!(rep.actuation_for("k", 1).is_none());
+        assert!(rep.actuation_event_for(&HD, "k", 1).is_none());
         let r1 = rep.sample_for(hw, "k", 1).expect("sample 1");
         assert_eq!(r1.time.value(), 0.25);
         assert!(rep.error().is_none());
@@ -1008,7 +963,7 @@ mod tests {
     fn replayer_serves_resolved_actuations() {
         let cfg = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 };
         let degraded = CfgPoint { cu: 24, cu_mhz: 800, mem_mhz: 1375 };
-        let hw = cfg.to_hw().unwrap();
+        let hw = cfg.to_hw_on(&HD).unwrap();
         let events = vec![
             SessionEvent::Decision { kernel: "k".into(), iteration: 0, cfg },
             SessionEvent::ActuationResolved {
@@ -1022,32 +977,69 @@ mod tests {
             },
             sample("k", 0, 0.5),
         ];
-        let rep = Replayer::new(events.clone());
-        match rep.actuation_event_for("k", 0) {
+        let rep = Replayer::new(events);
+        match rep.actuation_event_for(&HD, "k", 0) {
             Some(ReplayedActuation::Resolved { outcome, attempts, kinds, actual }) => {
                 assert_eq!(outcome, ActuationOutcome::RolledBack);
                 assert_eq!(attempts, 3);
                 assert_eq!(kinds, vec![FaultKind::DvfsDeny, FaultKind::DvfsNeighbor]);
-                assert_eq!(actual, degraded.to_hw().unwrap());
+                assert_eq!(actual, degraded.to_hw_on(&HD).unwrap());
             }
             other => panic!("expected resolved actuation, got {other:?}"),
         }
         assert!(rep.sample_for(hw, "k", 0).is_some());
         assert!(rep.error().is_none());
+    }
 
-        // The legacy probe must not silently coerce a resolution.
-        let rep = Replayer::new(events);
-        assert!(rep.actuation_for("k", 0).is_none());
-        let err = rep.error().expect("legacy probe flagged");
-        assert!(err.message.contains("legacy probe"), "{err}");
-        // The sample is still served so the run can complete.
-        assert!(rep.sample_for(hw, "k", 0).is_some());
+    #[test]
+    fn recorded_actuations_validate_on_the_replaying_devices_grid() {
+        for name in DeviceSpec::catalog() {
+            let spec = DeviceSpec::lookup(name).expect("catalog name");
+            let grid = spec.grid();
+            let max = HwConfig::max_on(grid);
+            let safe = spec.safe_state();
+            let events = vec![
+                SessionEvent::Decision {
+                    kernel: "k".into(),
+                    iteration: 0,
+                    cfg: max.into(),
+                },
+                SessionEvent::Actuation {
+                    kernel: "k".into(),
+                    iteration: 0,
+                    kind: FaultKind::DvfsNeighbor,
+                    wanted: max.into(),
+                    actual: safe.into(),
+                },
+                sample("k", 0, 0.5),
+            ];
+            let rep = Replayer::new(events.clone());
+            assert_eq!(
+                rep.actuation_event_for(grid, "k", 0),
+                Some(ReplayedActuation::Fault {
+                    kind: FaultKind::DvfsNeighbor,
+                    actual: safe
+                }),
+                "{name}: served on its own grid"
+            );
+            assert!(rep.error().is_none(), "{name}: {:?}", rep.error());
+            if *grid != HD {
+                // The same trace read on the HD7970 grid is off it.
+                let rep = Replayer::new(events);
+                assert!(rep.actuation_event_for(&HD, "k", 0).is_none());
+                let err = rep.error().expect("off-grid actuation flagged");
+                assert!(
+                    err.message.contains("off the hardware grid"),
+                    "{name}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
     fn exhausted_trace_is_reported() {
         let rep = Replayer::new(vec![]);
-        let hw = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 }.to_hw().unwrap();
+        let hw = HwConfig::max_hd7970();
         assert!(rep.sample_for(hw, "k", 0).is_none());
         let err = rep.error().expect("exhaustion recorded");
         assert!(err.message.contains("exhausted"), "{err}");
@@ -1055,7 +1047,7 @@ mod tests {
 
     #[test]
     fn sample_key_mismatch_is_served_but_flagged() {
-        let hw = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 }.to_hw().unwrap();
+        let hw = HwConfig::max_hd7970();
         let rep = Replayer::new(vec![sample("k", 3, 0.5)]);
         let r = rep.sample_for(hw, "k", 7).expect("still served");
         assert_eq!(r.time.value(), 0.5);

@@ -153,7 +153,9 @@ mod tests {
 
         let k = kernel();
         let cfg = HwConfig::max_hd7970();
-        let low = cfg.step_down(harmonia_types::Tunable::CuFreq).unwrap();
+        let low = cfg
+            .step_down_on(&stack.gpu().grid, harmonia_types::Tunable::CuFreq)
+            .unwrap();
         let live: Vec<SimResult> = (0..8)
             .map(|i| recording.simulate(if i % 2 == 0 { cfg } else { low }, &k, i))
             .collect();

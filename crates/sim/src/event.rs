@@ -543,12 +543,12 @@ impl TimingModel for EventModel {
 mod tests {
     use super::*;
     use crate::interval::IntervalModel;
-    use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
+    use harmonia_types::{ComputeConfig, GridSpec, MegaHertz, MemoryConfig};
 
     fn cfg(cu: u32, f: u32, m: u32) -> HwConfig {
         HwConfig::new(
-            ComputeConfig::new(cu, MegaHertz(f)).unwrap(),
-            MemoryConfig::new(MegaHertz(m)).unwrap(),
+            ComputeConfig::new_on(&GridSpec::HD7970, cu, MegaHertz(f)).unwrap(),
+            MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(m)).unwrap(),
         )
     }
 

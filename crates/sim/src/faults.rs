@@ -13,9 +13,9 @@
 //!   glitches). The underlying timing is untouched: faults corrupt what the
 //!   monitoring block *sees*, not what the hardware *does*.
 //! * Actuator faults (denied / delayed / neighboring DVFS transitions,
-//!   thermal throttling) are resolved by [`FaultPlan::actuate`]; the runtime
-//!   applies them between the governor's decision and the simulated
-//!   invocation.
+//!   thermal throttling) are resolved on the device's grid by
+//!   [`FaultPlan::actuate_attempt_on`]; the runtime applies them between
+//!   the governor's decision and the simulated invocation.
 //!
 //! The seed discipline is shared with [`NoisyModel`](crate::noise::NoisyModel)
 //! through [`mix_seed`]/[`rng_for`], so noise and faults compose under one
@@ -139,7 +139,7 @@ impl FaultKind {
     }
 
     /// Whether this fault corrupts the actuation path (applied by the
-    /// runtime via [`FaultPlan::actuate`]).
+    /// runtime via [`FaultPlan::actuate_attempt_on`]).
     pub fn is_actuator(self) -> bool {
         !self.is_counter()
     }
@@ -333,47 +333,16 @@ impl FaultPlan {
         (rng.gen_range(0.0..1.0) < spec.probability).then_some(rng)
     }
 
-    /// Resolves the actuation faults for one invocation: the governor wanted
-    /// `wanted`, the previous invocation actually ran at `previous`. Returns
-    /// the first firing actuator fault and the configuration that actually
-    /// takes effect; `None` when actuation is clean. The returned
-    /// configuration is always a valid grid point.
-    pub fn actuate(
-        &self,
-        kernel: &str,
-        wanted: HwConfig,
-        previous: Option<HwConfig>,
-        iteration: u64,
-    ) -> Option<(FaultKind, HwConfig)> {
-        self.actuate_attempt(kernel, wanted, previous, iteration, 0)
-    }
-
-    /// [`actuate`](Self::actuate) for the retry shim's re-issued requests:
-    /// attempt 0 is bit-identical to `actuate`, nonzero attempts roll the
-    /// fault probabilities fresh — a denied transition may succeed when
-    /// re-issued, which is exactly what retry-with-backoff banks on.
-    pub fn actuate_attempt(
-        &self,
-        kernel: &str,
-        wanted: HwConfig,
-        previous: Option<HwConfig>,
-        iteration: u64,
-        attempt: u32,
-    ) -> Option<(FaultKind, HwConfig)> {
-        self.actuate_attempt_on(
-            &harmonia_types::GridSpec::HD7970,
-            kernel,
-            wanted,
-            previous,
-            iteration,
-            attempt,
-        )
-    }
-
-    /// [`actuate_attempt`](Self::actuate_attempt) on an explicit device
-    /// grid: neighbor and throttle faults step along `grid`'s lattice, so a
-    /// chaos run on a catalog device never lands on an off-grid point. The
-    /// hd7970 grid reproduces the legacy methods byte for byte.
+    /// Resolves the actuation faults for one invocation attempt on `grid`:
+    /// the governor wanted `wanted`, the previous invocation actually ran at
+    /// `previous`. Returns the first firing actuator fault and the
+    /// configuration that actually takes effect; `None` when actuation is
+    /// clean. Neighbor and throttle faults step along `grid`'s lattice, so
+    /// the returned configuration is always a point of that grid. Attempt 0
+    /// is the invocation's first request; the retry shim's re-issued
+    /// requests roll the fault probabilities fresh — a denied transition may
+    /// succeed when re-issued, which is exactly what retry-with-backoff
+    /// banks on.
     pub fn actuate_attempt_on(
         &self,
         grid: &harmonia_types::GridSpec,
@@ -583,6 +552,9 @@ mod tests {
     use super::*;
     use crate::interval::IntervalModel;
     use crate::noise::NoisyModel;
+    use harmonia_types::GridSpec;
+
+    const HD: GridSpec = GridSpec::HD7970;
 
     fn kernel() -> KernelProfile {
         KernelProfile::builder("faulty").workitems(1 << 18).build()
@@ -685,7 +657,7 @@ mod tests {
             .with(FaultSpec::new(FaultKind::ThermalThrottle, 1.0));
         let space = harmonia_types::ConfigSpace::hd7970();
         for (i, cfg) in space.iter().enumerate() {
-            if let Some((_, actual)) = plan.actuate("k", cfg, None, i as u64) {
+            if let Some((_, actual)) = plan.actuate_attempt_on(&HD, "k", cfg, None, i as u64, 0) {
                 assert!(space.contains(actual), "{actual} is off the grid");
             }
         }
@@ -695,18 +667,27 @@ mod tests {
     fn deny_holds_the_previous_state() {
         let plan = FaultPlan::new(1).with(FaultSpec::new(FaultKind::DvfsDeny, 1.0));
         let wanted = HwConfig::max_hd7970();
-        let prev = wanted.step_down(Tunable::MemFreq).unwrap();
-        let (kind, actual) = plan.actuate("k", wanted, Some(prev), 0).unwrap();
+        let prev = wanted.step_down_on(&HD, Tunable::MemFreq).unwrap();
+        let (kind, actual) = plan
+            .actuate_attempt_on(&HD, "k", wanted, Some(prev), 0, 0)
+            .unwrap();
         assert_eq!(kind, FaultKind::DvfsDeny);
         assert_eq!(actual, prev);
         // Without history the denial is a no-op.
-        assert_eq!(plan.actuate("k", wanted, None, 0).unwrap().1, wanted);
+        assert_eq!(
+            plan.actuate_attempt_on(&HD, "k", wanted, None, 0, 0)
+                .unwrap()
+                .1,
+            wanted
+        );
     }
 
     #[test]
     fn throttle_clamps_the_compute_clock() {
         let plan = FaultPlan::new(1).with(FaultSpec::new(FaultKind::ThermalThrottle, 1.0));
-        let (_, actual) = plan.actuate("k", HwConfig::max_hd7970(), None, 0).unwrap();
+        let (_, actual) = plan
+            .actuate_attempt_on(&HD, "k", HwConfig::max_hd7970(), None, 0, 0)
+            .unwrap();
         assert!(actual.compute.freq().value() <= 500);
         assert_eq!(actual.compute.cu_count(), 32, "only the clock throttles");
     }

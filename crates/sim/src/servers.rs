@@ -340,9 +340,9 @@ mod tests {
 
     #[test]
     fn crossing_serializes_at_low_compute_clock() {
-        use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
+        use harmonia_types::{ComputeConfig, GridSpec, MegaHertz, MemoryConfig};
         let slow = HwConfig::new(
-            ComputeConfig::new(32, MegaHertz(300)).unwrap(),
+            ComputeConfig::new_on(&GridSpec::HD7970, 32, MegaHertz(300)).unwrap(),
             MemoryConfig::max_hd7970(),
         );
         let mut p = MemoryPath::new(&GpuDescriptor::hd7970(), slow);

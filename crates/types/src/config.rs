@@ -12,45 +12,19 @@
 //! "approximately 450" combinations the paper sweeps.
 //!
 //! The ranges and steps above are one [`GridSpec`] — the HD7970 entry of the
-//! device catalog (`crate::device`). Every grid-dependent operation has a
-//! `*_on(&GridSpec)` form; the short legacy names are HD7970 conveniences
-//! that delegate to [`GridSpec::HD7970`] and remain bit-identical to the
-//! pre-catalog code.
+//! device catalog (`crate::device`). Every grid-dependent operation takes
+//! the grid it works on (`*_on(&GridSpec)`), so a path for another catalog
+//! device cannot pick up the HD7970 lattice by omission. The names that
+//! still mean the HD7970 say so: `min_hd7970`/`max_hd7970` and
+//! [`ConfigSpace::hd7970`]. Two conveniences remain HD7970-only and are
+//! documented as such: [`ConfigPoint::to_hw`] and the bandwidth that
+//! [`MemoryConfig`]'s `Display` prints.
 
 use crate::device::GridSpec;
 use crate::units::{GigabytesPerSec, MegaHertz};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-
-/// Minimum number of active compute units.
-pub const CU_MIN: u32 = GridSpec::HD7970.cu_min;
-/// Maximum number of compute units on the HD7970.
-pub const CU_MAX: u32 = GridSpec::HD7970.cu_max;
-/// Granularity of compute-unit power gating.
-pub const CU_STEP: u32 = GridSpec::HD7970.cu_step;
-
-/// Minimum compute (shader) clock.
-pub const CU_FREQ_MIN: MegaHertz = GridSpec::HD7970.cu_freq_min;
-/// Maximum compute clock (the 1 GHz boost state).
-pub const CU_FREQ_MAX: MegaHertz = GridSpec::HD7970.cu_freq_max;
-/// Compute clock granularity.
-pub const CU_FREQ_STEP: u32 = GridSpec::HD7970.cu_freq_step;
-
-/// Minimum memory bus clock (90 GB/s of bandwidth).
-pub const MEM_FREQ_MIN: MegaHertz = GridSpec::HD7970.mem_freq_min;
-/// Maximum memory bus clock (264 GB/s of bandwidth).
-pub const MEM_FREQ_MAX: MegaHertz = GridSpec::HD7970.mem_freq_max;
-/// Memory bus clock granularity (~30 GB/s of bandwidth).
-pub const MEM_FREQ_STEP: u32 = GridSpec::HD7970.mem_freq_step;
-
-/// GDDR5 moves four data words per bus clock.
-pub const GDDR5_TRANSFER_RATE: f64 = GridSpec::HD7970.mem_transfer_rate;
-/// Six 64-bit dual-channel controllers form a 384-bit interface.
-pub const MEM_BUS_WIDTH_BITS: u32 = GridSpec::HD7970.mem_bus_width_bits;
-/// Number of memory channels (each controller drives one 64-bit channel pair).
-/// The authoritative per-device value is `GpuDescriptor::mem_channels`.
-pub const MEM_CHANNELS: u32 = 6;
 
 /// Error returned when constructing a configuration outside the platform's
 /// supported range or off its step grid.
@@ -122,18 +96,6 @@ pub struct ComputeConfig {
 }
 
 impl ComputeConfig {
-    /// Creates a compute configuration on the HD7970 grid, validating range
-    /// and step grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `cu_count` is outside 4..=32 or not a
-    /// multiple of 4, or if `freq` is outside 300..=1000 MHz or not a
-    /// multiple of 100 MHz.
-    pub fn new(cu_count: u32, freq: MegaHertz) -> Result<Self, ConfigError> {
-        Self::new_on(&GridSpec::HD7970, cu_count, freq)
-    }
-
     /// Creates a compute configuration on an arbitrary device grid.
     ///
     /// # Errors
@@ -194,37 +156,12 @@ impl ComputeConfig {
         self.freq
     }
 
-    /// Peak single-precision throughput in GFLOP/s on the HD7970, counting
-    /// fused multiply-accumulate as two operations:
-    /// `CUs × 4 SIMDs × 16 lanes × 2`.
-    ///
-    /// At 32 CUs and 1 GHz this is the paper's headline 4096 GFLOPS.
-    pub fn peak_gflops(self) -> f64 {
-        self.peak_gflops_on(&GridSpec::HD7970)
-    }
-
     /// Peak single-precision throughput in GFLOP/s on a device grid:
-    /// `CUs × flops-per-CU-clock × GHz`.
+    /// `CUs × flops-per-CU-clock × GHz`, counting fused multiply-accumulate
+    /// as two operations. On the HD7970 at 32 CUs and 1 GHz this is the
+    /// paper's headline 4096 GFLOPS.
     pub fn peak_gflops_on(self, grid: &GridSpec) -> f64 {
         f64::from(self.cu_count) * grid.flops_per_cu_clock * self.freq.as_ghz()
-    }
-
-    /// All valid CU counts on the HD7970 grid, ascending.
-    pub fn cu_levels() -> Vec<u32> {
-        GridSpec::HD7970.cu_levels()
-    }
-
-    /// All valid compute frequencies on the HD7970 grid, ascending.
-    pub fn freq_levels() -> Vec<MegaHertz> {
-        GridSpec::HD7970.cu_freq_levels()
-    }
-}
-
-impl Default for ComputeConfig {
-    /// Defaults to the maximum (boost) configuration, matching the paper's
-    /// observation that the stock power manager always runs at boost.
-    fn default() -> Self {
-        Self::max_hd7970()
     }
 }
 
@@ -243,17 +180,6 @@ pub struct MemoryConfig {
 }
 
 impl MemoryConfig {
-    /// Creates a memory configuration on the HD7970 grid, validating range
-    /// and step grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `bus_freq` is outside 475..=1375 MHz or not
-    /// on the 150 MHz grid.
-    pub fn new(bus_freq: MegaHertz) -> Result<Self, ConfigError> {
-        Self::new_on(&GridSpec::HD7970, bus_freq)
-    }
-
     /// Creates a memory configuration on an arbitrary device grid.
     ///
     /// # Errors
@@ -301,29 +227,11 @@ impl MemoryConfig {
         self.bus_freq
     }
 
-    /// Peak DRAM bandwidth delivered at this bus frequency on the HD7970
-    /// (Equation 2 of the paper): `freq × bus-width × transfer-rate`.
-    ///
-    /// At 1375 MHz: `1375e6 × 48 B × 4 = 264 GB/s`.
-    pub fn peak_bandwidth(self) -> GigabytesPerSec {
-        self.peak_bandwidth_on(&GridSpec::HD7970)
-    }
-
-    /// Peak DRAM bandwidth delivered at this bus frequency on a device grid.
+    /// Peak DRAM bandwidth delivered at this bus frequency on a device grid
+    /// (Equation 2 of the paper): `freq × bus-width × transfer-rate`. On the
+    /// HD7970 at 1375 MHz: `1375e6 × 48 B × 4 = 264 GB/s`.
     pub fn peak_bandwidth_on(self, grid: &GridSpec) -> GigabytesPerSec {
         GigabytesPerSec::from_bytes_per_sec(self.bus_freq.as_hz() * grid.bytes_per_clock())
-    }
-
-    /// All valid memory bus frequencies on the HD7970 grid, ascending.
-    pub fn freq_levels() -> Vec<MegaHertz> {
-        GridSpec::HD7970.mem_freq_levels()
-    }
-}
-
-impl Default for MemoryConfig {
-    /// Defaults to the maximum memory frequency (the stock baseline).
-    fn default() -> Self {
-        Self::max_hd7970()
     }
 }
 
@@ -332,14 +240,13 @@ impl fmt::Display for MemoryConfig {
         // Display is an HD7970 convenience: bandwidth is computed on the
         // HD7970 bus. Device-aware reporting formats bandwidth through
         // `peak_bandwidth_on` with the session's grid.
-        write!(f, "mem {} ({:.0} GB/s)", self.bus_freq, self.peak_bandwidth().value())
+        let bandwidth = self.peak_bandwidth_on(&GridSpec::HD7970);
+        write!(f, "mem {} ({:.0} GB/s)", self.bus_freq, bandwidth.value())
     }
 }
 
 /// A full hardware operating point: compute plus memory configuration.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct HwConfig {
     /// Compute-side settings.
     pub compute: ComputeConfig,
@@ -377,21 +284,9 @@ impl HwConfig {
         Self::new(ComputeConfig::max_on(grid), MemoryConfig::max_on(grid))
     }
 
-    /// The ops/byte the *hardware* can deliver at this operating point on
-    /// the HD7970: peak compute throughput over peak memory bandwidth. The
+    /// The ops/byte the *hardware* can deliver at this operating point on a
+    /// device grid: peak compute throughput over peak memory bandwidth. The
     /// paper plots performance against this quantity in Figure 3.
-    pub fn hw_ops_per_byte(self) -> f64 {
-        self.hw_ops_per_byte_on(&GridSpec::HD7970)
-    }
-
-    /// Hardware ops/byte on the HD7970 normalized to the minimum
-    /// configuration (the X axis of Figure 3).
-    pub fn hw_ops_per_byte_normalized(self) -> f64 {
-        self.hw_ops_per_byte_normalized_on(&GridSpec::HD7970)
-    }
-
-    /// The ops/byte the hardware can deliver at this operating point on a
-    /// device grid.
     pub fn hw_ops_per_byte_on(self, grid: &GridSpec) -> f64 {
         self.compute.peak_gflops_on(grid) / self.memory.peak_bandwidth_on(grid).value()
     }
@@ -399,12 +294,6 @@ impl HwConfig {
     /// Hardware ops/byte normalized to the grid's minimum configuration.
     pub fn hw_ops_per_byte_normalized_on(self, grid: &GridSpec) -> f64 {
         self.hw_ops_per_byte_on(grid) / Self::min_on(grid).hw_ops_per_byte_on(grid)
-    }
-
-    /// The level (grid index and normalized fraction) of one tunable on the
-    /// HD7970 grid.
-    pub fn level(self, tunable: Tunable) -> TunableLevel {
-        self.level_on(&GridSpec::HD7970, tunable)
     }
 
     /// The level of one tunable on a device grid.
@@ -432,18 +321,12 @@ impl HwConfig {
         }
     }
 
-    /// Steps one tunable up by one HD7970 grid step. Returns `None` at the
-    /// maximum.
-    ///
-    /// This is the "increment state" operation of the fine-grain tuning loop
-    /// (Algorithm 1): core step = 100 MHz, memory step = 150 MHz (~30 GB/s),
-    /// CU step = 4.
-    pub fn step_up(self, tunable: Tunable) -> Option<Self> {
-        self.step_up_on(&GridSpec::HD7970, tunable)
-    }
-
     /// Steps one tunable up by one step of a device grid. Returns `None` at
     /// the maximum.
+    ///
+    /// This is the "increment state" operation of the fine-grain tuning loop
+    /// (Algorithm 1); on the HD7970 the core step is 100 MHz, the memory
+    /// step 150 MHz (~30 GB/s) and the CU step 4.
     pub fn step_up_on(self, grid: &GridSpec, tunable: Tunable) -> Option<Self> {
         let mut next = self;
         match tunable {
@@ -467,14 +350,6 @@ impl HwConfig {
             }
         }
         Some(next)
-    }
-
-    /// Steps one tunable down by one HD7970 grid step. Returns `None` at the
-    /// minimum.
-    ///
-    /// This is the "decrement state" operation of the fine-grain tuning loop.
-    pub fn step_down(self, tunable: Tunable) -> Option<Self> {
-        self.step_down_on(&GridSpec::HD7970, tunable)
     }
 
     /// Steps one tunable down by one step of a device grid. Returns `None`
@@ -504,14 +379,9 @@ impl HwConfig {
         Some(next)
     }
 
-    /// Sets one tunable to the HD7970 grid level nearest `fraction`
+    /// Sets one tunable to the device-grid level nearest `fraction`
     /// (0.0 = minimum, 1.0 = maximum). Used by coarse-grain tuning to
     /// translate a sensitivity bin into a proportional tunable value.
-    pub fn with_fraction(self, tunable: Tunable, fraction: f64) -> Self {
-        self.with_fraction_on(&GridSpec::HD7970, tunable, fraction)
-    }
-
-    /// Sets one tunable to the device-grid level nearest `fraction`.
     pub fn with_fraction_on(self, grid: &GridSpec, tunable: Tunable, fraction: f64) -> Self {
         let fraction = fraction.clamp(0.0, 1.0);
         // The nearest of `count` levels. Level `i` is `min + i·step`, the
@@ -548,6 +418,57 @@ impl HwConfig {
 impl fmt::Display for HwConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}, {}", self.compute, self.memory)
+    }
+}
+
+/// A hardware operating point as traces record it: the raw
+/// `(CU count, compute MHz, memory MHz)` triple, unvalidated. The decision
+/// trace (JSONL) and the session trace (HRRTRACE) both carry it — compact
+/// and trivially diffable, unlike the nested [`HwConfig`] serialization.
+/// Which grid a point belongs to is the reader's to say, through
+/// [`to_hw_on`](Self::to_hw_on).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct ConfigPoint {
+    /// Active compute units.
+    pub cu: u32,
+    /// Compute clock in MHz.
+    pub cu_mhz: u32,
+    /// Memory bus clock in MHz.
+    pub mem_mhz: u32,
+}
+
+impl From<HwConfig> for ConfigPoint {
+    fn from(cfg: HwConfig) -> Self {
+        Self {
+            cu: cfg.compute.cu_count,
+            cu_mhz: cfg.compute.freq.value(),
+            mem_mhz: cfg.memory.bus_freq.value(),
+        }
+    }
+}
+
+impl ConfigPoint {
+    /// Reconstructs the validated [`HwConfig`] on `grid`; `None` if the
+    /// point is off that grid (a hand-edited trace, or one recorded on
+    /// another device).
+    pub fn to_hw_on(self, grid: &GridSpec) -> Option<HwConfig> {
+        Some(HwConfig::new(
+            ComputeConfig::new_on(grid, self.cu, MegaHertz(self.cu_mhz)).ok()?,
+            MemoryConfig::new_on(grid, MegaHertz(self.mem_mhz)).ok()?,
+        ))
+    }
+
+    /// [`to_hw_on`](Self::to_hw_on) on the HD7970 grid only: a point
+    /// recorded on any other catalog device is `None` here. Replay and the
+    /// chaos campaign validate on the replaying device's grid instead.
+    pub fn to_hw(self) -> Option<HwConfig> {
+        self.to_hw_on(&GridSpec::HD7970)
+    }
+}
+
+impl fmt::Display for ConfigPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}cu/{}MHz/{}MHz", self.cu, self.cu_mhz, self.mem_mhz)
     }
 }
 
@@ -632,15 +553,19 @@ impl ConfigSpace {
     }
 }
 
-impl Default for ConfigSpace {
-    fn default() -> Self {
-        Self::hd7970()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceSpec;
+
+    const HD: GridSpec = GridSpec::HD7970;
+
+    fn hd_cfg(cu: u32, f: u32, m: u32) -> HwConfig {
+        HwConfig::new(
+            ComputeConfig::new_on(&HD, cu, MegaHertz(f)).unwrap(),
+            MemoryConfig::new_on(&HD, MegaHertz(m)).unwrap(),
+        )
+    }
 
     #[test]
     fn space_has_448_points() {
@@ -652,52 +577,56 @@ mod tests {
 
     #[test]
     fn compute_config_validation() {
-        assert!(ComputeConfig::new(4, MegaHertz(300)).is_ok());
-        assert!(ComputeConfig::new(32, MegaHertz(1000)).is_ok());
-        assert!(ComputeConfig::new(0, MegaHertz(300)).is_err());
-        assert!(ComputeConfig::new(5, MegaHertz(300)).is_err());
-        assert!(ComputeConfig::new(36, MegaHertz(300)).is_err());
-        assert!(ComputeConfig::new(4, MegaHertz(250)).is_err());
-        assert!(ComputeConfig::new(4, MegaHertz(1100)).is_err());
+        assert!(ComputeConfig::new_on(&HD, 4, MegaHertz(300)).is_ok());
+        assert!(ComputeConfig::new_on(&HD, 32, MegaHertz(1000)).is_ok());
+        assert!(ComputeConfig::new_on(&HD, 0, MegaHertz(300)).is_err());
+        assert!(ComputeConfig::new_on(&HD, 5, MegaHertz(300)).is_err());
+        assert!(ComputeConfig::new_on(&HD, 36, MegaHertz(300)).is_err());
+        assert!(ComputeConfig::new_on(&HD, 4, MegaHertz(250)).is_err());
+        assert!(ComputeConfig::new_on(&HD, 4, MegaHertz(1100)).is_err());
     }
 
     #[test]
     fn memory_config_validation() {
-        assert!(MemoryConfig::new(MegaHertz(475)).is_ok());
-        assert!(MemoryConfig::new(MegaHertz(1375)).is_ok());
-        assert!(MemoryConfig::new(MegaHertz(500)).is_err());
-        assert!(MemoryConfig::new(MegaHertz(400)).is_err());
-        assert!(MemoryConfig::new(MegaHertz(1500)).is_err());
+        assert!(MemoryConfig::new_on(&HD, MegaHertz(475)).is_ok());
+        assert!(MemoryConfig::new_on(&HD, MegaHertz(1375)).is_ok());
+        assert!(MemoryConfig::new_on(&HD, MegaHertz(500)).is_err());
+        assert!(MemoryConfig::new_on(&HD, MegaHertz(400)).is_err());
+        assert!(MemoryConfig::new_on(&HD, MegaHertz(1500)).is_err());
     }
 
     #[test]
     fn config_error_displays() {
-        let err = ComputeConfig::new(5, MegaHertz(300)).unwrap_err();
+        let err = ComputeConfig::new_on(&HD, 5, MegaHertz(300)).unwrap_err();
         assert!(err.to_string().contains("CU count"));
     }
 
     #[test]
     fn peak_gflops_matches_paper() {
         // 32 CUs × 4 SIMD × 16 lanes × 2 ops (FMAC) × 1 GHz = 4096 GFLOPS.
-        assert!((ComputeConfig::max_hd7970().peak_gflops() - 4096.0).abs() < 1e-9);
+        assert!((ComputeConfig::max_hd7970().peak_gflops_on(&HD) - 4096.0).abs() < 1e-9);
     }
 
     #[test]
     fn peak_bandwidth_matches_paper() {
-        let max = MemoryConfig::max_hd7970().peak_bandwidth();
+        let max = MemoryConfig::max_hd7970().peak_bandwidth_on(&HD);
         assert!((max.value() - 264.0).abs() < 0.1);
-        let min = MemoryConfig::min_hd7970().peak_bandwidth();
+        let min = MemoryConfig::min_hd7970().peak_bandwidth_on(&HD);
         assert!((min.value() - 91.2).abs() < 0.1);
     }
 
     #[test]
     fn bandwidth_steps_are_about_30gbs() {
-        let levels = MemoryConfig::freq_levels();
+        let levels = HD.mem_freq_levels();
         assert_eq!(levels.len(), 7);
         for w in levels.windows(2) {
-            let lo = MemoryConfig::new(w[0]).unwrap().peak_bandwidth().value();
-            let hi = MemoryConfig::new(w[1]).unwrap().peak_bandwidth().value();
-            assert!((hi - lo - 28.8).abs() < 0.1); // "steps of 30GB/s" (≈28.8)
+            let bw = |m| {
+                MemoryConfig::new_on(&HD, m)
+                    .unwrap()
+                    .peak_bandwidth_on(&HD)
+                    .value()
+            };
+            assert!((bw(w[1]) - bw(w[0]) - 28.8).abs() < 0.1); // "steps of 30GB/s" (≈28.8)
         }
     }
 
@@ -705,22 +634,19 @@ mod tests {
     fn hw_ops_per_byte_at_extremes() {
         let max = HwConfig::max_hd7970();
         // 4096 GFLOPS / 264 GB/s ≈ 15.5 ops/byte.
-        assert!((max.hw_ops_per_byte() - 15.51).abs() < 0.05);
+        assert!((max.hw_ops_per_byte_on(&HD) - 15.51).abs() < 0.05);
         let min = HwConfig::min_hd7970();
         // 4 CUs × 128 ops × 0.3 GHz = 153.6 GFLOPS / 91.2 GB/s ≈ 1.68.
-        assert!((min.hw_ops_per_byte() - 1.684).abs() < 0.01);
-        assert!((min.hw_ops_per_byte_normalized() - 1.0).abs() < 1e-12);
+        assert!((min.hw_ops_per_byte_on(&HD) - 1.684).abs() < 0.01);
+        assert!((min.hw_ops_per_byte_normalized_on(&HD) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn stepping_up_and_down_is_inverse() {
-        let cfg = HwConfig::new(
-            ComputeConfig::new(16, MegaHertz(600)).unwrap(),
-            MemoryConfig::new(MegaHertz(925)).unwrap(),
-        );
+        let cfg = hd_cfg(16, 600, 925);
         for t in Tunable::ALL {
-            let up = cfg.step_up(t).unwrap();
-            assert_eq!(up.step_down(t).unwrap(), cfg);
+            let up = cfg.step_up_on(&HD, t).unwrap();
+            assert_eq!(up.step_down_on(&HD, t).unwrap(), cfg);
         }
     }
 
@@ -729,10 +655,10 @@ mod tests {
         let max = HwConfig::max_hd7970();
         let min = HwConfig::min_hd7970();
         for t in Tunable::ALL {
-            assert!(max.step_up(t).is_none());
-            assert!(min.step_down(t).is_none());
-            assert!(max.step_down(t).is_some());
-            assert!(min.step_up(t).is_some());
+            assert!(max.step_up_on(&HD, t).is_none());
+            assert!(min.step_down_on(&HD, t).is_none());
+            assert!(max.step_down_on(&HD, t).is_some());
+            assert!(min.step_up_on(&HD, t).is_some());
         }
     }
 
@@ -741,34 +667,34 @@ mod tests {
         let min = HwConfig::min_hd7970();
         let max = HwConfig::max_hd7970();
         for t in Tunable::ALL {
-            assert_eq!(min.level(t).index, 0);
-            assert_eq!(min.level(t).fraction, 0.0);
-            assert_eq!(max.level(t).fraction, 1.0);
-            assert_eq!(max.level(t).index, max.level(t).count - 1);
+            assert_eq!(min.level_on(&HD, t).index, 0);
+            assert_eq!(min.level_on(&HD, t).fraction, 0.0);
+            assert_eq!(max.level_on(&HD, t).fraction, 1.0);
+            assert_eq!(max.level_on(&HD, t).index, max.level_on(&HD, t).count - 1);
         }
-        assert_eq!(max.level(Tunable::CuCount).count, 8);
-        assert_eq!(max.level(Tunable::CuFreq).count, 8);
-        assert_eq!(max.level(Tunable::MemFreq).count, 7);
+        assert_eq!(max.level_on(&HD, Tunable::CuCount).count, 8);
+        assert_eq!(max.level_on(&HD, Tunable::CuFreq).count, 8);
+        assert_eq!(max.level_on(&HD, Tunable::MemFreq).count, 7);
     }
 
     #[test]
     fn with_fraction_hits_grid_extremes() {
         let cfg = HwConfig::min_hd7970();
         let high = cfg
-            .with_fraction(Tunable::CuCount, 1.0)
-            .with_fraction(Tunable::CuFreq, 1.0)
-            .with_fraction(Tunable::MemFreq, 1.0);
+            .with_fraction_on(&HD, Tunable::CuCount, 1.0)
+            .with_fraction_on(&HD, Tunable::CuFreq, 1.0)
+            .with_fraction_on(&HD, Tunable::MemFreq, 1.0);
         assert_eq!(high, HwConfig::max_hd7970());
         let low = HwConfig::max_hd7970()
-            .with_fraction(Tunable::CuCount, 0.0)
-            .with_fraction(Tunable::CuFreq, 0.0)
-            .with_fraction(Tunable::MemFreq, 0.0);
+            .with_fraction_on(&HD, Tunable::CuCount, 0.0)
+            .with_fraction_on(&HD, Tunable::CuFreq, 0.0)
+            .with_fraction_on(&HD, Tunable::MemFreq, 0.0);
         assert_eq!(low, HwConfig::min_hd7970());
     }
 
     #[test]
     fn with_fraction_rounds_to_nearest_level() {
-        let cfg = HwConfig::min_hd7970().with_fraction(Tunable::CuCount, 0.5);
+        let cfg = HwConfig::min_hd7970().with_fraction_on(&HD, Tunable::CuCount, 0.5);
         // Levels are 4..=32; 0.5 of 7 steps rounds to index 4 → 20 CUs.
         assert_eq!(cfg.compute.cu_count(), 20);
     }
@@ -800,29 +726,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_helpers_delegate_to_the_hd7970_grid() {
-        let grid = GridSpec::HD7970;
-        assert_eq!(HwConfig::min_on(&grid), HwConfig::min_hd7970());
-        assert_eq!(HwConfig::max_on(&grid), HwConfig::max_hd7970());
-        let cfg = HwConfig::new(
-            ComputeConfig::new(16, MegaHertz(600)).unwrap(),
-            MemoryConfig::new(MegaHertz(925)).unwrap(),
-        );
-        for t in Tunable::ALL {
-            assert_eq!(cfg.step_up(t), cfg.step_up_on(&grid, t));
-            assert_eq!(cfg.step_down(t), cfg.step_down_on(&grid, t));
-            assert_eq!(cfg.level(t), cfg.level_on(&grid, t));
-            assert_eq!(cfg.with_fraction(t, 0.37), cfg.with_fraction_on(&grid, t, 0.37));
+    fn named_hd7970_helpers_are_the_hd7970_grid_extremes() {
+        assert_eq!(HwConfig::min_on(&HD), HwConfig::min_hd7970());
+        assert_eq!(HwConfig::max_on(&HD), HwConfig::max_hd7970());
+        assert_eq!(ComputeConfig::max_on(&HD), ComputeConfig::max_hd7970());
+        assert_eq!(MemoryConfig::min_on(&HD), MemoryConfig::min_hd7970());
+    }
+
+    #[test]
+    fn config_points_validate_on_the_grid_they_are_read_on() {
+        let cfg = HwConfig::max_hd7970();
+        let p = ConfigPoint::from(cfg);
+        assert_eq!(p.to_string(), "32cu/1000MHz/1375MHz");
+        assert_eq!(p.to_hw_on(&HD), Some(cfg));
+        assert_eq!(p.to_hw(), Some(cfg), "to_hw reads the HD7970 grid");
+        let off = ConfigPoint { cu: 33, ..p };
+        assert_eq!(off.to_hw_on(&HD), None, "off-grid points reject");
+        // Every catalog device's points round-trip on its own grid, and
+        // `to_hw` reads them on the HD7970's.
+        for name in DeviceSpec::catalog() {
+            let spec = DeviceSpec::lookup(name).expect("catalog name");
+            let grid = spec.grid();
+            let max = HwConfig::max_on(grid);
+            let p = ConfigPoint::from(max);
+            assert_eq!(p.to_hw_on(grid), Some(max), "{name}");
+            assert_eq!(p.to_hw(), p.to_hw_on(&HD), "{name}");
         }
-        assert_eq!(cfg.hw_ops_per_byte(), cfg.hw_ops_per_byte_on(&grid));
-        assert_eq!(
-            cfg.compute.peak_gflops(),
-            cfg.compute.peak_gflops_on(&grid)
-        );
-        assert_eq!(
-            cfg.memory.peak_bandwidth(),
-            cfg.memory.peak_bandwidth_on(&grid)
-        );
+        let v100 = DeviceSpec::lookup("v100").expect("v100 in the catalog");
+        let p = ConfigPoint::from(HwConfig::max_on(v100.grid()));
+        assert_eq!(p.to_hw(), None, "a v100 point is off the HD7970 grid");
     }
 
     #[test]

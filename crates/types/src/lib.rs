@@ -34,7 +34,7 @@
 //! let max = HwConfig::new(ComputeConfig::max_hd7970(), MemoryConfig::max_hd7970());
 //! assert!(space.contains(max));
 //! // Hardware ops/byte delivered by the platform at this configuration:
-//! let ops_per_byte = max.hw_ops_per_byte();
+//! let ops_per_byte = max.hw_ops_per_byte_on(space.grid());
 //! assert!(ops_per_byte > 0.0);
 //! ```
 
@@ -45,7 +45,8 @@ pub mod session;
 pub mod units;
 
 pub use config::{
-    ComputeConfig, ConfigError, ConfigSpace, HwConfig, MemoryConfig, Tunable, TunableLevel,
+    ComputeConfig, ConfigError, ConfigPoint, ConfigSpace, HwConfig, MemoryConfig, Tunable,
+    TunableLevel,
 };
 pub use device::{
     ComputePowerParams, DevicePower, DeviceSpec, GpuDescriptor, GridSpec, MemoryPowerParams,

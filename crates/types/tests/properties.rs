@@ -1,9 +1,12 @@
 //! Property tests for the configuration space and DVFS tables.
 
 use harmonia_types::{
-    ComputeConfig, ConfigSpace, DeviceSpec, DvfsTable, HwConfig, MegaHertz, MemoryConfig, Tunable,
+    ComputeConfig, ConfigSpace, DeviceSpec, DvfsTable, GridSpec, HwConfig, MegaHertz, MemoryConfig,
+    Tunable,
 };
 use proptest::prelude::*;
+
+const HD: GridSpec = GridSpec::HD7970;
 
 fn arb_device() -> impl Strategy<Value = DeviceSpec> {
     (0usize..DeviceSpec::catalog().len()).prop_map(|i| {
@@ -14,8 +17,8 @@ fn arb_device() -> impl Strategy<Value = DeviceSpec> {
 fn arb_config() -> impl Strategy<Value = HwConfig> {
     (0u32..8, 0u32..8, 0u32..7).prop_map(|(cu, f, m)| {
         HwConfig::new(
-            ComputeConfig::new(4 + cu * 4, MegaHertz(300 + f * 100)).expect("grid"),
-            MemoryConfig::new(MegaHertz(475 + m * 150)).expect("grid"),
+            ComputeConfig::new_on(&HD, 4 + cu * 4, MegaHertz(300 + f * 100)).expect("grid"),
+            MemoryConfig::new_on(&HD, MegaHertz(475 + m * 150)).expect("grid"),
         )
     })
 }
@@ -25,13 +28,13 @@ proptest! {
     fn stepping_stays_on_grid_and_inverts(cfg in arb_config()) {
         let space = ConfigSpace::hd7970();
         for t in Tunable::ALL {
-            if let Some(up) = cfg.step_up(t) {
+            if let Some(up) = cfg.step_up_on(&HD, t) {
                 prop_assert!(space.contains(up));
-                prop_assert_eq!(up.step_down(t).expect("inverse"), cfg);
+                prop_assert_eq!(up.step_down_on(&HD, t).expect("inverse"), cfg);
             }
-            if let Some(down) = cfg.step_down(t) {
+            if let Some(down) = cfg.step_down_on(&HD, t) {
                 prop_assert!(space.contains(down));
-                prop_assert_eq!(down.step_up(t).expect("inverse"), cfg);
+                prop_assert_eq!(down.step_up_on(&HD, t).expect("inverse"), cfg);
             }
         }
     }
@@ -40,9 +43,9 @@ proptest! {
     fn with_fraction_is_idempotent_and_on_grid(cfg in arb_config(), frac in 0.0f64..1.0) {
         let space = ConfigSpace::hd7970();
         for t in Tunable::ALL {
-            let once = cfg.with_fraction(t, frac);
+            let once = cfg.with_fraction_on(&HD, t, frac);
             prop_assert!(space.contains(once));
-            prop_assert_eq!(once.with_fraction(t, frac), once);
+            prop_assert_eq!(once.with_fraction_on(&HD, t, frac), once);
         }
     }
 
@@ -50,33 +53,33 @@ proptest! {
     fn with_fraction_is_monotone(cfg in arb_config(), a in 0.0f64..1.0, b in 0.0f64..1.0) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         for t in Tunable::ALL {
-            let l = cfg.with_fraction(t, lo);
-            let h = cfg.with_fraction(t, hi);
-            prop_assert!(l.level(t).index <= h.level(t).index);
+            let l = cfg.with_fraction_on(&HD, t, lo);
+            let h = cfg.with_fraction_on(&HD, t, hi);
+            prop_assert!(l.level_on(&HD, t).index <= h.level_on(&HD, t).index);
         }
     }
 
     #[test]
     fn level_fraction_round_trips(cfg in arb_config()) {
         for t in Tunable::ALL {
-            let level = cfg.level(t);
+            let level = cfg.level_on(&HD, t);
             prop_assert!((0.0..=1.0).contains(&level.fraction));
-            let rebuilt = cfg.with_fraction(t, level.fraction);
+            let rebuilt = cfg.with_fraction_on(&HD, t, level.fraction);
             prop_assert_eq!(rebuilt.raw_value(t), cfg.raw_value(t));
         }
     }
 
     #[test]
     fn hw_ops_per_byte_is_monotone_in_compute_and_antitone_in_memory(cfg in arb_config()) {
-        let base = cfg.hw_ops_per_byte();
-        if let Some(up) = cfg.step_up(Tunable::CuFreq) {
-            prop_assert!(up.hw_ops_per_byte() > base);
+        let base = cfg.hw_ops_per_byte_on(&HD);
+        if let Some(up) = cfg.step_up_on(&HD, Tunable::CuFreq) {
+            prop_assert!(up.hw_ops_per_byte_on(&HD) > base);
         }
-        if let Some(up) = cfg.step_up(Tunable::CuCount) {
-            prop_assert!(up.hw_ops_per_byte() > base);
+        if let Some(up) = cfg.step_up_on(&HD, Tunable::CuCount) {
+            prop_assert!(up.hw_ops_per_byte_on(&HD) > base);
         }
-        if let Some(up) = cfg.step_up(Tunable::MemFreq) {
-            prop_assert!(up.hw_ops_per_byte() < base);
+        if let Some(up) = cfg.step_up_on(&HD, Tunable::MemFreq) {
+            prop_assert!(up.hw_ops_per_byte_on(&HD) < base);
         }
     }
 

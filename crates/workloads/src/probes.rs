@@ -119,12 +119,12 @@ pub fn balance_probe(ops_per_byte: f64) -> KernelProfile {
 mod tests {
     use super::*;
     use harmonia_sim::{GpuDescriptor, IntervalModel, Occupancy, TimingModel};
-    use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig};
+    use harmonia_types::{ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig};
 
     fn cfg(cu: u32, f: u32, m: u32) -> HwConfig {
         HwConfig::new(
-            ComputeConfig::new(cu, MegaHertz(f)).unwrap(),
-            MemoryConfig::new(MegaHertz(m)).unwrap(),
+            ComputeConfig::new_on(&GridSpec::HD7970, cu, MegaHertz(f)).unwrap(),
+            MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(m)).unwrap(),
         )
     }
 

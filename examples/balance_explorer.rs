@@ -30,7 +30,9 @@ fn main() {
 
     let model = IntervalModel::default();
     let power = PowerModel::hd7970();
-    let min_cfg = HwConfig::min_hd7970();
+    let space = ConfigSpace::hd7970();
+    let grid = space.grid();
+    let min_cfg = HwConfig::min_on(grid);
     let t_min = model.simulate(min_cfg, &kernel, 0).time.value();
 
     println!("balance curve for {name} (normalized to 4 CU / 300 MHz / 90 GB/s)\n");
@@ -40,11 +42,11 @@ fn main() {
     );
 
     let mut best: Option<(HwConfig, f64)> = None; // (config, ED²)
-    for mem in MemoryConfig::freq_levels() {
-        let mc = MemoryConfig::new(mem).expect("grid");
+    for &mem in space.mem_freqs() {
+        let mc = MemoryConfig::new_on(grid, mem).expect("grid");
         // Walk the compute configs in increasing hardware ops/byte and print
         // a coarse subsample of the curve.
-        let mut curve: Vec<(HwConfig, f64, f64)> = ConfigSpace::hd7970()
+        let mut curve: Vec<(HwConfig, f64, f64)> = space
             .iter()
             .filter(|c| c.memory == mc)
             .map(|c| {
@@ -59,15 +61,15 @@ fn main() {
             })
             .collect();
         curve.sort_by(|a, b| {
-            a.0.hw_ops_per_byte()
-                .partial_cmp(&b.0.hw_ops_per_byte())
+            a.0.hw_ops_per_byte_on(grid)
+                .partial_cmp(&b.0.hw_ops_per_byte_on(grid))
                 .expect("finite")
         });
         for (cfg, t, watts) in curve.iter().step_by(16) {
             println!(
                 "{:>10.0}  {:>12.1}  {:>12.1}  {:>10.1}",
-                mc.peak_bandwidth().value(),
-                cfg.hw_ops_per_byte_normalized(),
+                mc.peak_bandwidth_on(grid).value(),
+                cfg.hw_ops_per_byte_normalized_on(grid),
                 t_min / t,
                 watts
             );

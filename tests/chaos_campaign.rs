@@ -1,13 +1,14 @@
 //! Integration smoke for the seeded chaos campaign (the
 //! `chaos-campaign` subcommand): generated fault plans across the
-//! app × hardened-policy grid must uphold every robustness invariant,
-//! exercise the retry/backoff actuation pipeline, and reproduce exactly
-//! from the campaign seed.
+//! app × hardened-policy grid must uphold every robustness invariant on
+//! every catalog device, exercise the retry/backoff actuation pipeline,
+//! and reproduce exactly from the campaign seed.
 
 use harmonia_experiments::campaign_cmd::{
     chaos_campaign, generate_plan, CampaignRun, CAMPAIGN_APPS,
 };
 use harmonia_experiments::Context;
+use harmonia_types::DeviceSpec;
 
 fn campaign(seeds: u32) -> CampaignRun {
     chaos_campaign(&Context::new(), seeds)
@@ -15,14 +16,27 @@ fn campaign(seeds: u32) -> CampaignRun {
 
 #[test]
 fn campaign_upholds_every_invariant() {
-    let run = campaign(4);
-    assert_eq!(run.cases.len(), 4 * CAMPAIGN_APPS.len() * 2);
-    assert_eq!(run.violations(), 0, "report:\n{}", run.report);
-    for case in &run.cases {
-        assert!(case.violated.is_empty(), "case {} violated {:?}", case.index, case.violated);
-        assert!(case.minimal.is_none(), "passing cases are not shrunk");
-        assert!(case.ed2.is_finite());
-        assert!(case.events > 0);
+    // On every device, not just the golden-pinned hd7970: a recorded
+    // configuration is grid-valid and replays on its own device's grid.
+    for device in DeviceSpec::catalog() {
+        let spec = DeviceSpec::lookup(device).expect("catalog names resolve");
+        let run = chaos_campaign(&Context::for_device(spec), 4);
+        assert_eq!(run.cases.len(), 4 * CAMPAIGN_APPS.len() * 2, "{device}");
+        assert_eq!(run.violations(), 0, "{device} report:\n{}", run.report);
+        for case in &run.cases {
+            assert!(
+                case.violated.is_empty(),
+                "{device}: case {} violated {:?}",
+                case.index,
+                case.violated
+            );
+            assert!(
+                case.minimal.is_none(),
+                "{device}: passing cases are not shrunk"
+            );
+            assert!(case.ed2.is_finite(), "{device}");
+            assert!(case.events > 0, "{device}");
+        }
     }
 }
 

@@ -15,14 +15,14 @@ use harmonia::runtime::Runtime;
 use harmonia::telemetry::{self, TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{EventModel, FastForwardPolicy, KernelProfile, TimingModel};
-use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig};
+use harmonia_types::{ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig};
 use harmonia_workloads::{suite, Application};
 use proptest::prelude::*;
 
 fn grid(cu: u32, f: u32, m: u32) -> HwConfig {
     HwConfig::new(
-        ComputeConfig::new(cu, MegaHertz(f)).expect("on-grid compute point"),
-        MemoryConfig::new(MegaHertz(m)).expect("on-grid memory point"),
+        ComputeConfig::new_on(&GridSpec::HD7970, cu, MegaHertz(f)).expect("on-grid compute point"),
+        MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(m)).expect("on-grid memory point"),
     )
 }
 

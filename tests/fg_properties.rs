@@ -13,7 +13,7 @@ use harmonia::predictor::SensitivityPredictor;
 use harmonia::telemetry::{ConfigPoint, TraceEvent, TraceHandle};
 use harmonia_power::PowerModel;
 use harmonia_sim::{CounterSample, IntervalModel, KernelProfile};
-use harmonia_types::{HwConfig, Seconds, Tunable};
+use harmonia_types::{GridSpec, HwConfig, Seconds, Tunable};
 use proptest::prelude::*;
 
 /// Drives `f` with a registry-built full-Harmonia governor over the
@@ -114,9 +114,10 @@ proptest! {
         // Throughput cliff: any tunable below its random floor halves the
         // rate, everything at/above the floors runs at full rate.
         let rate_of = |cfg: HwConfig| {
-            let ok = cfg.level(Tunable::CuCount).index >= min_cu as usize
-                && cfg.level(Tunable::CuFreq).index >= min_f as usize
-                && cfg.level(Tunable::MemFreq).index >= min_m as usize;
+            let level = |t| cfg.level_on(&GridSpec::HD7970, t).index;
+            let ok = level(Tunable::CuCount) >= min_cu as usize
+                && level(Tunable::CuFreq) >= min_f as usize
+                && level(Tunable::MemFreq) >= min_m as usize;
             if ok { 100.0 } else { 45.0 }
         };
         let fg = FineGrain::new();

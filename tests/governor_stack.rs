@@ -183,10 +183,8 @@ fn layered_watchdog_emits_the_fault_and_fallback_event_sequence() {
 #[test]
 fn post_clamp_ledger_prevents_actuation_false_trips() {
     let power = PowerModel::hd7970();
-    let config = WatchdogConfig {
-        check_actuation: true,
-        ..WatchdogConfig::default()
-    };
+    let mut config = WatchdogConfig::default();
+    config.check.check_actuation = true;
     // A cap this tight clamps the baseline's boost decision, so granted
     // (post-clamp) differs from the inner decision (pre-clamp).
     let cap = Watts(150.0);

@@ -14,7 +14,7 @@
 //! the same numbers.
 
 use harmonia_sim::{EventModel, IntervalModel, Occupancy, TimingModel, TraceModel};
-use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig};
+use harmonia_types::{ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig};
 use harmonia_workloads::generator::random_profile;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,8 +28,9 @@ fn envelope(a: f64, b: f64) -> f64 {
 fn arb_config() -> impl Strategy<Value = HwConfig> {
     (0u32..8, 0u32..8, 0u32..7).prop_map(|(cu, f, m)| {
         HwConfig::new(
-            ComputeConfig::new(4 + cu * 4, MegaHertz(300 + f * 100)).expect("grid"),
-            MemoryConfig::new(MegaHertz(475 + m * 150)).expect("grid"),
+            ComputeConfig::new_on(&GridSpec::HD7970, 4 + cu * 4, MegaHertz(300 + f * 100))
+                .expect("grid"),
+            MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(475 + m * 150)).expect("grid"),
         )
     })
 }
@@ -92,8 +93,13 @@ fn probe_envelopes() {
             for f in 0..8u32 {
                 for m in 0..7u32 {
                     let cfg = HwConfig::new(
-                        ComputeConfig::new(4 + cu * 4, MegaHertz(300 + f * 100)).unwrap(),
-                        MemoryConfig::new(MegaHertz(475 + m * 150)).unwrap(),
+                        ComputeConfig::new_on(
+                            &GridSpec::HD7970,
+                            4 + cu * 4,
+                            MegaHertz(300 + f * 100),
+                        )
+                        .unwrap(),
+                        MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(475 + m * 150)).unwrap(),
                     );
                     let ti = iv.simulate(cfg, &kernel, 0).time.value();
                     let te = ev.simulate(cfg, &kernel, 0).time.value();

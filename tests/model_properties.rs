@@ -6,7 +6,7 @@ use harmonia::governor::{Governor, PolicyResources, PolicySpec};
 use harmonia::predictor::SensitivityPredictor;
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{EventModel, IntervalModel, TimingModel};
-use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig, Tunable};
+use harmonia_types::{ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig, Tunable};
 use harmonia_workloads::generator::random_profile;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,8 +15,9 @@ use rand::SeedableRng;
 fn arb_config() -> impl Strategy<Value = HwConfig> {
     (0u32..8, 0u32..8, 0u32..7).prop_map(|(cu, f, m)| {
         HwConfig::new(
-            ComputeConfig::new(4 + cu * 4, MegaHertz(300 + f * 100)).expect("grid"),
-            MemoryConfig::new(MegaHertz(475 + m * 150)).expect("grid"),
+            ComputeConfig::new_on(&GridSpec::HD7970, 4 + cu * 4, MegaHertz(300 + f * 100))
+                .expect("grid"),
+            MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(475 + m * 150)).expect("grid"),
         )
     })
 }
@@ -57,7 +58,7 @@ proptest! {
         let model = IntervalModel::default();
         let base = model.simulate(cfg, &kernel, 0).time.value();
         for t in Tunable::ALL {
-            if let Some(up) = cfg.step_up(t) {
+            if let Some(up) = cfg.step_up_on(&GridSpec::HD7970, t) {
                 let faster = model.simulate(up, &kernel, 0).time.value();
                 prop_assert!(
                     faster <= base * 1.0001,
@@ -71,8 +72,8 @@ proptest! {
     fn power_is_positive_and_monotone_in_activity(cfg in arb_config(), a in 0.0f64..1.0) {
         let power = PowerModel::hd7970();
         let idle = power.card_pwr(cfg, &Activity::idle()).value();
-        let some = power.card_pwr(cfg, &Activity::streaming(a, a)).value();
-        let full = power.card_pwr(cfg, &Activity::streaming(1.0, 1.0)).value();
+        let some = power.card_pwr(cfg, &Activity::streaming_on(power.grid(), a, a)).value();
+        let full = power.card_pwr(cfg, &Activity::streaming_on(power.grid(), 1.0, 1.0)).value();
         prop_assert!(idle > 0.0);
         prop_assert!(idle <= some + 1e-9);
         prop_assert!(some <= full + 1e-9);
@@ -151,8 +152,9 @@ fn persisted_regression_cases_still_pass() {
         );
         let (seed, cu, f, m) = (v[0], v[1] as u32, v[2] as u32, v[3] as u32);
         let cfg = HwConfig::new(
-            ComputeConfig::new(cu, MegaHertz(f)).expect("recorded config on grid"),
-            MemoryConfig::new(MegaHertz(m)).expect("recorded config on grid"),
+            ComputeConfig::new_on(&GridSpec::HD7970, cu, MegaHertz(f))
+                .expect("recorded config on grid"),
+            MemoryConfig::new_on(&GridSpec::HD7970, MegaHertz(m)).expect("recorded config on grid"),
         );
         assert_interval_event_agreement(seed, cfg);
     }

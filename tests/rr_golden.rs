@@ -18,10 +18,11 @@
 //! seed the tests pin explicitly).
 
 use harmonia::governor::PolicySpec;
+use harmonia::runtime::RetryPolicy;
 use harmonia_experiments::rr_cmd::{self, chaos_plan};
 use harmonia_experiments::Context;
 use harmonia_repro::rr::{codec, differ, SessionEvent};
-use harmonia_repro::types::Watts;
+use harmonia_repro::types::{DeviceSpec, Watts};
 
 const GOLDEN_CHAOS: &[u8] = include_bytes!("golden/rr_graph500_hardened-capped_chaos.hrr");
 const GOLDEN_CAPPED: &[u8] = include_bytes!("golden/rr_stencil_capped.hrr");
@@ -97,6 +98,50 @@ fn capped_golden_round_trips_bit_exactly() {
         differ::diff_report(&golden_events, &replayed.events)
     );
     assert_eq!(replayed.run, live.run);
+}
+
+/// A `hardened:capped` chaos session with the retry shim engaged records
+/// and replays bit-exactly from its encoded artifact on every catalog
+/// device: replay validates each recorded actuation on the grid of the
+/// device doing the replay.
+#[test]
+fn retried_chaos_sessions_replay_bit_exactly_on_every_device() {
+    for device in DeviceSpec::catalog() {
+        let spec = DeviceSpec::lookup(device).expect("catalog names resolve");
+        let ctx = Context::for_device(spec);
+        let plan = chaos_plan(GOLDEN_SEED);
+        let live = rr_cmd::record_session_with(
+            &ctx,
+            "Graph500",
+            PolicySpec::HardenedCapped(Watts(185.0)),
+            Some(&plan),
+            Some(RetryPolicy::default()),
+        )
+        .expect("Graph500 in suite");
+        assert!(
+            live.events
+                .iter()
+                .any(|e| matches!(e, SessionEvent::ActuationResolved { .. })),
+            "{device}: the retry shim resolved no actuation"
+        );
+        let artifact = codec::decode(&live.bytes).expect("a recorded session decodes");
+        let replayed = rr_cmd::replay_session(&ctx, &artifact).expect("the session replays");
+        assert!(
+            replayed.divergence.is_none(),
+            "{device}: replay diverged:\n{}",
+            differ::diff_report(&artifact, &replayed.events)
+        );
+        assert!(
+            replayed.replay_error.is_none(),
+            "{device}: {:?}",
+            replayed.replay_error
+        );
+        assert_eq!(
+            replayed.run.ed2().to_bits(),
+            live.run.ed2().to_bits(),
+            "{device}"
+        );
+    }
 }
 
 /// Applies `f` to event `i` of a decoded golden stream.

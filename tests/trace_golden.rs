@@ -76,13 +76,21 @@ fn golden_trace_replays_the_live_config_sequence() {
 
 #[test]
 fn figure_series_come_from_the_decision_trace() {
-    let ctx = Context::new();
+    // On every catalog device: the trace records each device's own clocks,
+    // so no device's residency comes out empty.
+    for device in DeviceSpec::catalog() {
+        let spec = DeviceSpec::lookup(device).expect("catalog names resolve");
+        figure_series_match_the_trace(&Context::for_device(spec), device);
+    }
+}
+
+fn figure_series_match_the_trace(ctx: &Context, device: &str) {
     let eval = ctx.evaluate_app(&suite::graph500());
     let summary = telemetry::summarize(&eval.harmonia_trace);
 
     // Fig 15's "overall" rows are the memory-frequency residency
     // distribution of the decision trace, verbatim.
-    let fig15 = run(&ctx, "fig15").expect("fig15 exists");
+    let fig15 = run(ctx, "fig15").expect("fig15 exists");
     let overall: Vec<(String, String)> = fig15
         .rows
         .iter()
@@ -95,11 +103,17 @@ fn figure_series_come_from_the_decision_trace() {
         .into_iter()
         .map(|(mhz, frac)| (mhz.to_string(), pct(frac)))
         .collect();
-    assert!(!expected.is_empty(), "trace produced an empty residency");
-    assert_eq!(overall, expected, "fig15 series diverged from the trace");
+    assert!(
+        !expected.is_empty(),
+        "{device}: trace produced an empty residency"
+    );
+    assert_eq!(
+        overall, expected,
+        "{device}: fig15 series diverged from the trace"
+    );
 
     // Fig 16 lists every tunable's distribution from the same trace.
-    let fig16 = run(&ctx, "fig16").expect("fig16 exists");
+    let fig16 = run(ctx, "fig16").expect("fig16 exists");
     for t in Tunable::ALL {
         let rows: Vec<(String, String)> = fig16
             .rows
@@ -113,11 +127,15 @@ fn figure_series_come_from_the_decision_trace() {
             .into_iter()
             .map(|(v, frac)| (v.to_string(), pct(frac)))
             .collect();
-        assert_eq!(rows, expected, "fig16 series for {t} diverged from the trace");
+        assert!(!expected.is_empty(), "{device}: empty {t} residency");
+        assert_eq!(
+            rows, expected,
+            "{device}: fig16 series for {t} diverged from the trace"
+        );
     }
 
     // Fig 18's settle column is the trace's last config-change iteration.
-    let fig18 = run(&ctx, "fig18").expect("fig18 exists");
+    let fig18 = run(ctx, "fig18").expect("fig18 exists");
     let settle = &fig18
         .rows
         .iter()
@@ -126,6 +144,6 @@ fn figure_series_come_from_the_decision_trace() {
     assert_eq!(
         settle,
         &telemetry::settle_iteration(&eval.harmonia_trace).to_string(),
-        "fig18 settle column diverged from the trace"
+        "{device}: fig18 settle column diverged from the trace"
     );
 }
