@@ -1,60 +1,22 @@
 //! Benchmark support crate.
 //!
-//! The actual Criterion benches live in `benches/`:
+//! The benches live in `benches/`, and each writes the artifact CI gates:
 //!
-//! * `figures` — one bench per evaluation figure (the work that regenerates
-//!   it: configuration sweeps, governor runs, residency accounting).
-//! * `tables` — one bench per table (DVFS lookup, counter sampling,
-//!   regression training).
-//! * `ablations` — design-choice ablations called out in `DESIGN.md`:
-//!   interval vs event timing model, oracle sweep cost, and governor
-//!   decision overhead (the paper's premise is that the runtime policy is
-//!   cheap relative to kernel execution).
+//! * `sweep` — the shared sweep engine, batched and incremental plans and
+//!   the oracle (`BENCH_sweep.json`).
+//! * `event` — the event model's steady-state fast-forward
+//!   (`BENCH_event.json`).
+//! * `fleet` — warm fleet throughput, cap compliance and determinism
+//!   (`BENCH_fleet.json`).
 //!
 //! This library only hosts shared helpers so the bench files stay small:
-//! [`BenchHarness`] (prebuilt models), [`median_secs`] (wall-clock
-//! medians), and [`BenchJson`]/[`write_bench_artifact`] — the one JSON
-//! writer every `BENCH_*.json` artifact goes through, replacing the
-//! hand-rolled `format!` writers the sweep and event benches used to
-//! duplicate.
+//! [`median_secs`] (wall-clock medians) and
+//! [`BenchJson`]/[`write_bench_artifact`] — the one JSON writer every
+//! `BENCH_*.json` artifact goes through, replacing the hand-rolled
+//! `format!` writers the sweep and event benches used to duplicate.
 
-use harmonia::dataset::TrainingSet;
-use harmonia::predictor::SensitivityPredictor;
-use harmonia_power::PowerModel;
-use harmonia_sim::IntervalModel;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// A prebuilt (model, power, predictor) bundle for benches.
-pub struct BenchHarness {
-    /// Interval timing model.
-    pub model: IntervalModel,
-    /// Card power model.
-    pub power: PowerModel,
-    /// Predictor fitted on the suite.
-    pub predictor: SensitivityPredictor,
-}
-
-impl BenchHarness {
-    /// Builds the harness (trains the predictor once).
-    pub fn new() -> Self {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
-        let data = TrainingSet::collect(&model);
-        let predictor = SensitivityPredictor::fit(&data).expect("well-formed training set");
-        Self {
-            model,
-            power,
-            predictor,
-        }
-    }
-}
-
-impl Default for BenchHarness {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Median of `reps` wall-clock measurements of `f`, in seconds.
 pub fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {

@@ -288,7 +288,7 @@ mod tests {
         // faster operating point than boost-then-clamp.
         let power = PowerModel::hd7970();
         let model = IntervalModel::default();
-        let rt = crate::runtime::Runtime::new(&model, &power).without_trace();
+        let rt = crate::runtime::Runtime::new(&model, &power);
         let app = suite::maxflops();
         let cap = Watts(185.0);
         let base = rt.run(

@@ -17,10 +17,11 @@
 //!   but the paper's upper bound).
 //!
 //! Cross-cutting concerns — safe-state watchdogs, the graceful-degradation
-//! ladder ([`DegradeLayer`]), counter sanitization, trace taps — are *not*
-//! baked into the governors. They are
-//! [`GovernorLayer`] decorators composed into a stack, and named stacks
-//! are built from one place by the [`PolicySpec`] registry.
+//! ladder ([`DegradeLayer`]), counter sanitization — are *not* baked into
+//! the governors. They are [`GovernorLayer`] decorators composed into a
+//! stack, and named stacks are built from one place by the [`PolicySpec`]
+//! registry. Every layer emits into the one [`TraceHandle`] the runtime
+//! installs through [`Governor::set_trace`].
 
 mod baseline;
 mod capped;
@@ -48,7 +49,7 @@ pub use powertune::PowerTuneGovernor;
 pub use registry::{Policy, PolicyResources, PolicySpec, DEFAULT_CAP};
 pub use stack::{
     AnomalyCheck, BoxGovernor, CapCheck, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
-    SanitizeLayer, TraceLayer, WatchdogLayer,
+    SanitizeLayer, WatchdogLayer,
 };
 pub use watchdog::{safe_state, CheckConfig, Watchdog, WatchdogConfig, WatchdogTransition};
 

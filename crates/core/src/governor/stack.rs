@@ -18,8 +18,6 @@
 //!   [`Governor::condition`] hook so the *conditioned* measurement feeds
 //!   the runtime's power accounting exactly where the old
 //!   `Runtime::with_sanitizer` stage ran.
-//! * [`TraceLayer`] — tees every trace event the inner governor emits into
-//!   a side [`TraceHandle`] tap without stealing it from the primary sink.
 //!
 //! Layers are name-transparent (`name()` forwards inward) so report and
 //! trace bytes do not change when a stack replaces a hand-hardened
@@ -608,84 +606,6 @@ impl Governor for SanitizeGovernor<'_> {
             self.sanitizer
                 .sanitize(&kernel.name, iteration, cfg, time, counters, &self.trace);
         self.stats.record_sanitizer_rejects(self.sanitizer.rejects());
-        self.inner.condition(kernel, iteration, cfg, time, counters)
-    }
-
-    fn observe(
-        &mut self,
-        kernel: &KernelProfile,
-        iteration: u64,
-        cfg: HwConfig,
-        counters: &CounterSample,
-    ) {
-        self.inner.observe(kernel, iteration, cfg, counters);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TraceLayer
-// ---------------------------------------------------------------------------
-
-/// Blueprint for the trace-tap decorator: the inner governor's events are
-/// teed into this layer's side [`TraceHandle`] *in addition to* whatever
-/// primary handle the runtime installs — observing a stack's decisions
-/// without stealing them from the main trace.
-#[derive(Debug, Clone)]
-pub struct TraceLayer {
-    tap: TraceHandle,
-}
-
-impl TraceLayer {
-    /// A layer teeing into `tap`.
-    pub fn new(tap: TraceHandle) -> Self {
-        Self { tap }
-    }
-
-    /// The side handle events are teed into.
-    pub fn tap(&self) -> &TraceHandle {
-        &self.tap
-    }
-}
-
-impl<'a> GovernorLayer<'a> for TraceLayer {
-    fn layer(self, mut inner: BoxGovernor<'a>) -> BoxGovernor<'a> {
-        // Seed the tap immediately: a stack that never sees the runtime's
-        // set_trace still records into the tap.
-        inner.set_trace(TraceHandle::disabled().tee(&self.tap));
-        Box::new(TraceGovernor {
-            inner,
-            tap: self.tap,
-        })
-    }
-}
-
-/// The decorator produced by [`TraceLayer`].
-struct TraceGovernor<'a> {
-    inner: BoxGovernor<'a>,
-    tap: TraceHandle,
-}
-
-impl Governor for TraceGovernor<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle) {
-        self.inner.set_trace(trace.tee(&self.tap));
-    }
-
-    fn decide(&mut self, kernel: &KernelProfile, iteration: u64) -> HwConfig {
-        self.inner.decide(kernel, iteration)
-    }
-
-    fn condition(
-        &mut self,
-        kernel: &KernelProfile,
-        iteration: u64,
-        cfg: HwConfig,
-        time: Seconds,
-        counters: CounterSample,
-    ) -> (Seconds, CounterSample) {
         self.inner.condition(kernel, iteration, cfg, time, counters)
     }
 

@@ -26,10 +26,12 @@
 //!   [`HarmoniaGovernor`] (CG+FG, CG-only, or restricted-tunable ablations),
 //!   and [`OracleGovernor`] (exhaustive per-kernel ED² search),
 //! * [`runtime`] — the monitoring/decision loop executing applications on a
-//!   timing model and power model,
+//!   timing model and power model; its [`RunReport`] is aggregate-only,
 //! * [`metrics`] — energy, ED, ED², improvement, and residency reporting,
-//! * [`telemetry`] — the zero-cost-when-disabled decision trace: typed
-//!   events for every CG/FG decision, JSONL/CSV export, summaries, replay.
+//! * [`telemetry`] — the zero-cost-when-disabled decision trace, where
+//!   per-invocation records live: typed events for every kernel boundary
+//!   and CG/FG decision, JSONL export, summaries (residency included),
+//!   replay checks.
 //!
 //! # Examples
 //!
@@ -70,7 +72,7 @@ pub mod telemetry;
 pub use binning::SensitivityBin;
 pub use dataset::DatasetError;
 pub use governor::{BaselineGovernor, Governor, HarmoniaGovernor, OracleGovernor};
-pub use metrics::{InvocationRecord, KernelReport, Residency, RunReport};
+pub use metrics::{KernelReport, Residency, RunReport};
 pub use predictor::{FitError, SensitivityPredictor};
 pub use runtime::{RetryPolicy, Runtime};
 pub use sanitize::{CounterSanitizer, SanitizerConfig};

@@ -4,38 +4,22 @@
 //! improvements relative to the stock baseline as geometric means, and
 //! studies power-state *residency* — the fraction of time each tunable
 //! spends at each value (Figures 15–16).
+//!
+//! A [`RunReport`] holds aggregates only. Per-invocation records —
+//! configurations, times, powers, counters — and the residency derived
+//! from them come from the decision trace
+//! ([`telemetry`](crate::telemetry)), which a run writes when a
+//! [`TraceHandle`](crate::telemetry::TraceHandle) is installed.
 
-use harmonia_types::{ConfigPoint, HwConfig, Joules, Seconds, Tunable, Watts};
+use harmonia_types::{ConfigPoint, Joules, Seconds, Tunable, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One kernel invocation as executed by the runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InvocationRecord {
-    /// Kernel name, interned: every record of the same kernel shares one
-    /// allocation with its [`KernelReport`] and the kernel's profile.
-    pub kernel: Arc<str>,
-    /// Outer application iteration.
-    pub iteration: u64,
-    /// Hardware configuration the invocation ran at.
-    pub cfg: HwConfig,
-    /// Execution time.
-    pub time: Seconds,
-    /// Average card power over the invocation.
-    pub card_power: Watts,
-    /// Average GPU chip power.
-    pub gpu_power: Watts,
-    /// Average memory power.
-    pub mem_power: Watts,
-    /// VALUBusy counter (the FG loop's performance proxy).
-    pub valu_busy_pct: f64,
-}
-
 /// Aggregate statistics for one kernel across a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelReport {
-    /// Kernel name (interned; see [`InvocationRecord::kernel`]).
+    /// Kernel name, sharing one allocation with the kernel's profile.
     pub kernel: Arc<str>,
     /// Number of invocations.
     pub invocations: u64,
@@ -126,10 +110,6 @@ pub struct RunReport {
     /// Per-kernel aggregates, one per distinct kernel that ran, in name
     /// order.
     pub per_kernel: Vec<KernelReport>,
-    /// Power-state residency over the run.
-    pub residency: Residency,
-    /// Full invocation trace.
-    pub trace: Vec<InvocationRecord>,
 }
 
 impl RunReport {
@@ -154,15 +134,6 @@ impl RunReport {
     /// Per-kernel report lookup.
     pub fn kernel_report(&self, name: &str) -> Option<&KernelReport> {
         self.per_kernel.iter().find(|k| &*k.kernel == name)
-    }
-
-    /// Peak card power over the run (from the invocation trace). Returns
-    /// zero when the run was executed without trace recording.
-    pub fn peak_power(&self) -> Watts {
-        self.trace
-            .iter()
-            .map(|r| r.card_power)
-            .fold(Watts(0.0), Watts::max)
     }
 }
 
@@ -201,8 +172,6 @@ mod tests {
             gpu_energy: Joules(energy * 0.6),
             mem_energy: Joules(energy * 0.25),
             per_kernel: vec![],
-            residency: Residency::new(),
-            trace: vec![],
         }
     }
 
@@ -217,25 +186,6 @@ mod tests {
     #[test]
     fn zero_time_average_power_is_zero() {
         assert_eq!(report(0.0, 10.0).avg_power(), Watts(0.0));
-    }
-
-    #[test]
-    fn peak_power_from_trace() {
-        let mut r = report(1.0, 100.0);
-        assert_eq!(r.peak_power(), Watts(0.0));
-        for (p, t) in [(120.0, 0.2), (250.0, 0.1), (90.0, 0.7)] {
-            r.trace.push(InvocationRecord {
-                kernel: "k".into(),
-                iteration: 0,
-                cfg: HwConfig::max_hd7970(),
-                time: Seconds(t),
-                card_power: Watts(p),
-                gpu_power: Watts(p * 0.7),
-                mem_power: Watts(p * 0.2),
-                valu_busy_pct: 50.0,
-            });
-        }
-        assert_eq!(r.peak_power(), Watts(250.0));
     }
 
     #[test]

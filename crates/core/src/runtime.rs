@@ -3,11 +3,18 @@
 //! [`Runtime::run`] executes an [`Application`] under a [`Governor`]: for
 //! every kernel invocation it asks the governor for a configuration, runs
 //! the timing model, evaluates the power model over the resulting activity,
-//! accumulates energy/time/residency, and feeds the counters back to the
+//! accumulates energy and time, and feeds the counters back to the
 //! governor — the paper's monitoring block operating at kernel boundaries.
+//!
+//! The returned [`RunReport`] is aggregate-only. Per-invocation records
+//! live in the streams a run can write: the decision trace
+//! (`KernelStart`/`KernelEnd`, when a [`TraceHandle`] is enabled) and the
+//! session trace (`Decision`/`Sample`, when a [`Recorder`] is attached).
+//! Residency and per-invocation views are derived from the decision trace
+//! ([`telemetry::summarize`](crate::telemetry::summarize)).
 
 use crate::governor::Governor;
-use crate::metrics::{InvocationRecord, KernelReport, Residency, RunReport};
+use crate::metrics::{KernelReport, RunReport};
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel, PowerTrace};
 use harmonia_rr::{Recorder, ReplayedActuation, Replayer, SessionEvent};
@@ -74,7 +81,6 @@ enum Actuation {
 pub struct Runtime<'a> {
     model: &'a dyn TimingModel,
     power: &'a PowerModel,
-    keep_trace: bool,
     telemetry: TraceHandle,
     /// Actuator-fault plan: DVFS denials/delays/neighbor transitions and
     /// thermal throttling applied between the decision and the invocation.
@@ -91,16 +97,16 @@ pub struct Runtime<'a> {
 }
 
 impl<'a> Runtime<'a> {
-    /// Creates a runtime over the given models (full traces kept),
-    /// configured from the process environment — equivalent to
+    /// Creates a runtime over the given models, configured from the
+    /// process environment — equivalent to
     /// [`from_session`](Self::from_session) with [`Session::from_env`]:
     /// decision telemetry is disabled unless `HARMONIA_TRACE=1`.
     pub fn new(model: &'a dyn TimingModel, power: &'a PowerModel) -> Self {
         Self::from_session(model, power, &Session::from_env())
     }
 
-    /// Creates a runtime configured by an explicit [`Session`] (full traces
-    /// kept): decision telemetry is enabled iff `session.trace()`.
+    /// Creates a runtime configured by an explicit [`Session`]: decision
+    /// telemetry is enabled iff `session.trace()`.
     pub fn from_session(
         model: &'a dyn TimingModel,
         power: &'a PowerModel,
@@ -109,7 +115,6 @@ impl<'a> Runtime<'a> {
         Self {
             model,
             power,
-            keep_trace: true,
             telemetry: if session.trace() {
                 TraceHandle::new()
             } else {
@@ -120,12 +125,6 @@ impl<'a> Runtime<'a> {
             replay: None,
             actuator: None,
         }
-    }
-
-    /// Disables per-invocation trace recording (large sweeps).
-    pub fn without_trace(mut self) -> Self {
-        self.keep_trace = false;
-        self
     }
 
     /// Applies `plan`'s actuator faults between the governor's decision and
@@ -301,20 +300,11 @@ impl<'a> Runtime<'a> {
         let mut card_energy = Joules(0.0);
         let mut gpu_energy = Joules(0.0);
         let mut mem_energy = Joules(0.0);
-        let mut residency = Residency::new();
-        let mut trace = Vec::new();
-        if self.keep_trace {
-            // One record per invocation, sized up front instead of regrown
-            // (a size that cannot be reserved is left to grow as before).
-            let invocations = usize::try_from(app.iterations)
-                .map_or(usize::MAX, |n| n.saturating_mul(app.kernels.len()));
-            let _ = trace.try_reserve_exact(invocations);
-        }
         // Resolve each kernel position to a run-local slot once: positions
         // that list the same kernel share a slot, and per-kernel state is
         // then indexed instead of looked up by name on every invocation.
-        // Each slot's report, its invocation records and the session trace
-        // share the profile's name allocation via refcount bumps.
+        // Each slot's report and the session trace share the profile's
+        // name allocation via refcount bumps.
         let mut per_kernel: Vec<KernelReport> = Vec::with_capacity(app.kernels.len());
         let slots: Vec<usize> = app
             .kernels
@@ -513,7 +503,6 @@ impl<'a> Runtime<'a> {
                 card_energy += breakdown.card_pwr() * dt;
                 gpu_energy += breakdown.gpu_pwr() * dt;
                 mem_energy += breakdown.mem_pwr() * dt;
-                residency.record(cfg.into(), dt);
                 self.telemetry.emit(|| TraceEvent::KernelEnd {
                     kernel: kernel.name.to_string(),
                     iteration,
@@ -540,19 +529,6 @@ impl<'a> Runtime<'a> {
                 report.invocations += 1;
                 report.total_time += dt;
                 report.card_energy += breakdown.card_pwr() * dt;
-
-                if self.keep_trace {
-                    trace.push(InvocationRecord {
-                        kernel: report.kernel.clone(),
-                        iteration,
-                        cfg,
-                        time: dt,
-                        card_power: breakdown.card_pwr(),
-                        gpu_power: breakdown.gpu_pwr(),
-                        mem_power: breakdown.mem_pwr(),
-                        valu_busy_pct: counters.valu_busy_pct,
-                    });
-                }
 
                 governor.observe(kernel, iteration, cfg, &counters);
             }
@@ -594,8 +570,6 @@ impl<'a> Runtime<'a> {
             gpu_energy,
             mem_energy,
             per_kernel,
-            residency,
-            trace,
         }
     }
 }
@@ -616,17 +590,67 @@ mod tests {
     #[test]
     fn baseline_runs_everything_at_boost() {
         let (model, power) = harness();
-        let rt = Runtime::new(&model, &power);
+        let trace = TraceHandle::new();
+        let rt = Runtime::new(&model, &power).with_telemetry(trace.clone());
         let app = suite::stencil();
         let report = rt.run(&app, &mut BaselineGovernor::new());
         assert_eq!(report.governor, "baseline");
-        assert_eq!(report.trace.len() as u64, app.total_invocations());
-        assert!((report.residency.fraction(Tunable::CuFreq, 1000) - 1.0).abs() < 1e-12);
+        let events = trace.events();
+        assert!(crate::telemetry::matches_run(&events, &report));
+        let summary = crate::telemetry::summarize(&events);
+        assert_eq!(summary.invocations, app.total_invocations());
+        assert!((summary.residency.fraction(Tunable::CuFreq, 1000) - 1.0).abs() < 1e-12);
         assert!(report.total_time.value() > 0.0);
         assert!(report.card_energy.value() > 0.0);
         // Energy decomposes.
         let parts = report.gpu_energy.value() + report.mem_energy.value();
         assert!(parts < report.card_energy.value());
+    }
+
+    #[test]
+    fn matches_run_fails_on_a_missing_or_one_ulp_off_kernel_end() {
+        use crate::telemetry::matches_run;
+        let (model, power) = harness();
+        let traced_run = |app: &Application| {
+            let trace = TraceHandle::new();
+            let report = Runtime::new(&model, &power)
+                .with_telemetry(trace.clone())
+                .run(app, &mut BaselineGovernor::new());
+            (trace.events(), report)
+        };
+        let kernel_ends = |events: &[TraceEvent]| -> Vec<usize> {
+            (0..events.len())
+                .filter(|&i| matches!(events[i], TraceEvent::KernelEnd { .. }))
+                .collect()
+        };
+
+        // Dropping any one invocation's KernelEnd changes a count.
+        let sort = suite::sort();
+        let (events, report) = traced_run(&sort);
+        assert!(matches_run(&events, &report));
+        let ends = kernel_ends(&events);
+        assert_eq!(ends.len() as u64, sort.total_invocations());
+        for &i in &ends {
+            let mut missing = events.clone();
+            missing.remove(i);
+            assert!(!matches_run(&missing, &report), "KernelEnd #{i} dropped");
+        }
+
+        // One iteration runs each kernel once, so each per-kernel sum is a
+        // single invocation's time: one ulp either way shows.
+        let once = Application::new("Sort.Once", sort.kernels.clone(), 1);
+        let (events, report) = traced_run(&once);
+        assert!(matches_run(&events, &report));
+        for i in kernel_ends(&events) {
+            for ulp in [1, -1] {
+                let mut off = events.clone();
+                let TraceEvent::KernelEnd { time_s, .. } = &mut off[i] else {
+                    unreachable!("KernelEnd at #{i}")
+                };
+                *time_s = f64::from_bits(time_s.to_bits().wrapping_add_signed(ulp));
+                assert!(!matches_run(&off, &report), "KernelEnd #{i} {ulp:+} ulp");
+            }
+        }
     }
 
     #[test]
@@ -668,7 +692,7 @@ mod tests {
     #[test]
     fn oracle_is_at_least_as_good_as_baseline() {
         let (model, power) = harness();
-        let rt = Runtime::new(&model, &power).without_trace();
+        let rt = Runtime::new(&model, &power);
         for app in [suite::maxflops(), suite::stencil()] {
             let base = rt.run(&app, &mut BaselineGovernor::new());
             let mut oracle = OracleGovernor::new(&model, &power);
@@ -755,15 +779,5 @@ mod tests {
             }
         }
         assert!(timed_out > 0, "p=1.0 denial must time out every invocation");
-    }
-
-    #[test]
-    fn without_trace_keeps_aggregates() {
-        let (model, power) = harness();
-        let rt = Runtime::new(&model, &power).without_trace();
-        let app = suite::stencil();
-        let report = rt.run(&app, &mut BaselineGovernor::new());
-        assert!(report.trace.is_empty());
-        assert!(report.total_time.value() > 0.0);
     }
 }

@@ -14,14 +14,18 @@
 //!   ([`TraceBuffer`]). A disabled handle is a `None`: emitting through it is
 //!   a single branch and the event is never even constructed, so traced and
 //!   untraced runs execute identical decision logic;
-//! * [`to_jsonl`]/[`from_jsonl`]/[`to_csv`] — line-oriented exporters whose
-//!   output is byte-stable for deterministic models (golden-trace tests);
+//! * [`to_jsonl`]/[`from_jsonl`] — the line-oriented export, byte-stable
+//!   for deterministic models (golden-trace tests);
 //! * [`TraceSummary`] — decision counts, residencies, and convergence
 //!   iterations (Section 7 / Figure 18) derived purely from the event
 //!   stream;
 //! * [`config_sequence`]/[`matches_run`] — replay: the per-invocation
-//!   configuration sequence recovered from the trace, checkable against a
-//!   live [`RunReport`].
+//!   configuration sequence recovered from the trace, and the check that
+//!   its kernel boundaries fold to a live [`RunReport`]'s aggregates.
+//!
+//! The trace is the run's per-invocation record: a [`RunReport`] carries
+//! aggregates only, and every per-invocation view (configurations, powers,
+//! residency) is read from `KernelStart`/`KernelEnd` events.
 //!
 //! The runtime emits kernel/power events, [`HarmoniaGovernor`] emits
 //! CG/FG/guard events, and [`OracleGovernor`] emits sweep-cache statistics;
@@ -33,7 +37,7 @@
 use crate::binning::SensitivityBin;
 use crate::metrics::{Residency, RunReport};
 use harmonia_sim::CounterSample;
-use harmonia_types::{Seconds, Tunable};
+use harmonia_types::{Joules, Seconds, Tunable, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -394,38 +398,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Short machine-readable event kind (the serialization tag).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::RunStart { .. } => "RunStart",
-            TraceEvent::KernelStart { .. } => "KernelStart",
-            TraceEvent::KernelEnd { .. } => "KernelEnd",
-            TraceEvent::FastForward { .. } => "FastForward",
-            TraceEvent::Prediction { .. } => "Prediction",
-            TraceEvent::CgRetune { .. } => "CgRetune",
-            TraceEvent::RevertGuard { .. } => "RevertGuard",
-            TraceEvent::FgProbe { .. } => "FgProbe",
-            TraceEvent::FgAccept { .. } => "FgAccept",
-            TraceEvent::FgRevert { .. } => "FgRevert",
-            TraceEvent::FgConverged { .. } => "FgConverged",
-            TraceEvent::KnownBadSkip { .. } => "KnownBadSkip",
-            TraceEvent::CapClamp { .. } => "CapClamp",
-            TraceEvent::DpmShift { .. } => "DpmShift",
-            TraceEvent::FaultInjected { .. } => "FaultInjected",
-            TraceEvent::SanitizerReject { .. } => "SanitizerReject",
-            TraceEvent::FaultDetected { .. } => "FaultDetected",
-            TraceEvent::FallbackEngaged { .. } => "FallbackEngaged",
-            TraceEvent::FallbackReleased { .. } => "FallbackReleased",
-            TraceEvent::RungShift { .. } => "RungShift",
-            TraceEvent::ActuationAttempt { .. } => "ActuationAttempt",
-            TraceEvent::ActuationResolved { .. } => "ActuationResolved",
-            TraceEvent::SanitizerEscalated { .. } => "SanitizerEscalated",
-            TraceEvent::CacheStats { .. } => "CacheStats",
-            TraceEvent::PowerSample { .. } => "PowerSample",
-            TraceEvent::RunEnd { .. } => "RunEnd",
-        }
-    }
-
     /// The kernel this event concerns, when it concerns one.
     pub fn kernel(&self) -> Option<&str> {
         match self {
@@ -552,19 +524,12 @@ impl TraceBuffer {
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
     inner: Option<Arc<Mutex<TraceBuffer>>>,
-    /// Extra buffers every emitted event is copied into, produced by
-    /// [`TraceHandle::tee`]. Empty on every handle except fanout ones, so
-    /// the single-buffer fast path is untouched.
-    taps: Vec<Arc<Mutex<TraceBuffer>>>,
 }
 
 impl TraceHandle {
     /// A handle that records nothing (the zero-cost default).
     pub fn disabled() -> Self {
-        Self {
-            inner: None,
-            taps: Vec::new(),
-        }
+        Self { inner: None }
     }
 
     /// An enabled handle over a fresh buffer of [`DEFAULT_CAPACITY`].
@@ -576,61 +541,19 @@ impl TraceHandle {
     pub fn bounded(capacity: usize) -> Self {
         Self {
             inner: Some(Arc::new(Mutex::new(TraceBuffer::new(capacity)))),
-            taps: Vec::new(),
         }
     }
 
-    /// An enabled handle when [`TRACE_ENV`] is set to `1`/`true`, otherwise
-    /// disabled. Lets a CI leg run the entire test suite traced.
-    pub fn from_env() -> Self {
-        if harmonia_types::Session::from_env().trace() {
-            Self::new()
-        } else {
-            Self::disabled()
-        }
-    }
-
-    /// A handle that records into this handle's buffer **and** into `tap`'s
-    /// (used by [`TraceLayer`](crate::governor::TraceLayer) to observe a
-    /// governor's events without stealing them from the primary sink).
-    /// Disabled handles and taps contribute no buffer; teeing two disabled
-    /// handles yields a disabled handle.
-    pub fn tee(&self, tap: &TraceHandle) -> TraceHandle {
-        let mut taps = self.taps.clone();
-        for buffer in tap.inner.iter().chain(tap.taps.iter()) {
-            let mut known = self.inner.iter().chain(taps.iter());
-            if !known.any(|t| Arc::ptr_eq(t, buffer)) {
-                taps.push(Arc::clone(buffer));
-            }
-        }
-        TraceHandle {
-            inner: self.inner.clone(),
-            taps,
-        }
-    }
-
-    /// Whether events are being recorded (into the primary buffer or any
-    /// tap).
+    /// Whether events are being recorded.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some() || !self.taps.is_empty()
+        self.inner.is_some()
     }
 
     /// Records the event produced by `f` (not called when disabled).
     #[inline]
     pub fn emit<F: FnOnce() -> TraceEvent>(&self, f: F) {
-        if !self.enabled() {
-            return;
-        }
-        let ev = f();
-        if let Some((last, rest)) = self.taps.split_last() {
-            if let Some(buffer) = &self.inner {
-                buffer.lock().expect("trace buffer poisoned").push(ev.clone());
-            }
-            for tap in rest {
-                tap.lock().expect("trace buffer poisoned").push(ev.clone());
-            }
-            last.lock().expect("trace buffer poisoned").push(ev);
-        } else if let Some(buffer) = &self.inner {
+        if let Some(buffer) = &self.inner {
+            let ev = f();
             buffer.lock().expect("trace buffer poisoned").push(ev);
         }
     }
@@ -712,108 +635,6 @@ pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     Ok(events)
 }
 
-/// Flattens events into a CSV with the common columns
-/// `kind,kernel,iteration,cu,cu_mhz,mem_mhz,detail` (decision events carry
-/// their destination configuration; `detail` holds kind-specific values).
-pub fn to_csv(events: &[TraceEvent]) -> String {
-    let mut out = String::from("kind,kernel,iteration,cu,cu_mhz,mem_mhz,detail\n");
-    for ev in events {
-        let kernel = ev.kernel().unwrap_or("");
-        let iteration = ev
-            .iteration()
-            .map_or(String::new(), |i| i.to_string());
-        let (cfg, detail): (Option<ConfigPoint>, String) = match ev {
-            TraceEvent::RunStart { app, governor } => {
-                (None, format!("app={app} governor={governor}"))
-            }
-            TraceEvent::KernelStart { cfg, .. } => (Some(*cfg), String::new()),
-            TraceEvent::KernelEnd { cfg, time_s, card_w, .. } => {
-                (Some(*cfg), format!("time_s={time_s} card_w={card_w}"))
-            }
-            TraceEvent::FastForward { stepped_waves, fast_forwarded_waves, .. } => (
-                None,
-                format!("stepped={stepped_waves} fast_forwarded={fast_forwarded_waves}"),
-            ),
-            TraceEvent::Prediction { cu, freq, bandwidth, cu_bin, freq_bin, bw_bin, .. } => (
-                None,
-                format!(
-                    "s=({cu:.3}/{freq:.3}/{bandwidth:.3}) bins=({cu_bin}/{freq_bin}/{bw_bin})"
-                ),
-            ),
-            TraceEvent::CgRetune { from, to, .. }
-            | TraceEvent::RevertGuard { from, to, .. }
-            | TraceEvent::FgProbe { from, to, .. }
-            | TraceEvent::FgRevert { from, to, .. } => (
-                Some(*to),
-                format!("from={}/{}/{}", from.cu, from.cu_mhz, from.mem_mhz),
-            ),
-            TraceEvent::FgAccept { cfg, rate, .. } => (Some(*cfg), format!("rate={rate}")),
-            TraceEvent::FgConverged { cfg, .. } | TraceEvent::KnownBadSkip { cfg, .. } => {
-                (Some(*cfg), String::new())
-            }
-            TraceEvent::CapClamp { wanted, granted, .. } => (
-                Some(*granted),
-                format!("wanted={}/{}/{}", wanted.cu, wanted.cu_mhz, wanted.mem_mhz),
-            ),
-            TraceEvent::DpmShift { from_mhz, to_mhz, .. } => {
-                (None, format!("{from_mhz}->{to_mhz}"))
-            }
-            TraceEvent::FaultInjected { kind, wanted, actual, .. } => (
-                Some(*actual),
-                format!(
-                    "kind={kind} wanted={}/{}/{}",
-                    wanted.cu, wanted.cu_mhz, wanted.mem_mhz
-                ),
-            ),
-            TraceEvent::SanitizerReject { field, value, substitute, .. } => {
-                (None, format!("field={field} value={value} substitute={substitute}"))
-            }
-            TraceEvent::FaultDetected { what, .. } => (None, format!("what={what}")),
-            TraceEvent::FallbackEngaged { safe, hold, .. } => {
-                (Some(*safe), format!("hold={hold}"))
-            }
-            TraceEvent::FallbackReleased { .. } => (None, String::new()),
-            TraceEvent::RungShift { from, to, hold, .. } => {
-                (None, format!("from={from} to={to} hold={hold}"))
-            }
-            TraceEvent::ActuationAttempt { attempt, kind, wanted, actual, .. } => (
-                Some(*actual),
-                format!(
-                    "attempt={attempt} kind={kind} wanted={}/{}/{}",
-                    wanted.cu, wanted.cu_mhz, wanted.mem_mhz
-                ),
-            ),
-            TraceEvent::ActuationResolved { outcome, attempts, wanted, actual, .. } => (
-                Some(*actual),
-                format!(
-                    "outcome={outcome} attempts={attempts} wanted={}/{}/{}",
-                    wanted.cu, wanted.cu_mhz, wanted.mem_mhz
-                ),
-            ),
-            TraceEvent::SanitizerEscalated { held, .. } => {
-                (None, format!("held={held}"))
-            }
-            TraceEvent::CacheStats { hits, misses, entries, .. } => {
-                (None, format!("hits={hits} misses={misses} entries={entries}"))
-            }
-            TraceEvent::PowerSample { at_s, card_w, gpu_w, mem_w } => {
-                (None, format!("at_s={at_s} card={card_w} gpu={gpu_w} mem={mem_w}"))
-            }
-            TraceEvent::RunEnd { total_time_s, card_energy_j, .. } => {
-                (None, format!("time_s={total_time_s} energy_j={card_energy_j}"))
-            }
-        };
-        let (cu, cu_mhz, mem_mhz) = cfg.map_or((String::new(), String::new(), String::new()), |c| {
-            (c.cu.to_string(), c.cu_mhz.to_string(), c.mem_mhz.to_string())
-        });
-        out.push_str(&format!(
-            "{},{kernel},{iteration},{cu},{cu_mhz},{mem_mhz},{detail}\n",
-            ev.kind()
-        ));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
@@ -833,16 +654,61 @@ pub fn config_sequence(events: &[TraceEvent]) -> Vec<(String, u64, ConfigPoint)>
         .collect()
 }
 
-/// Whether replaying the trace reproduces the governor's exact configuration
-/// sequence as recorded independently by the run report's invocation trace.
+/// Whether the trace of one run accounts for `report` bit for bit: its
+/// `KernelEnd` events, folded in run order, give each kernel's invocation
+/// count, total time and card energy, and the run's total time and card,
+/// GPU and memory energy. The runtime accounts the report and the events
+/// from the same times and powers, so a dropped or duplicated `KernelEnd`
+/// always fails the check, and an altered time or power fails it unless
+/// the change is lost in rounding a sum (one ulp on one of many
+/// invocations can be).
 pub fn matches_run(events: &[TraceEvent], report: &RunReport) -> bool {
-    let replayed = config_sequence(events);
-    if replayed.len() != report.trace.len() {
-        return false;
+    let mut kernels: Vec<(&str, u64, Seconds, Joules)> = Vec::new();
+    let mut total_time = Seconds(0.0);
+    let [mut card_energy, mut gpu_energy, mut mem_energy] = [Joules(0.0); 3];
+    for ev in events {
+        let TraceEvent::KernelEnd {
+            kernel,
+            time_s,
+            card_w,
+            gpu_w,
+            mem_w,
+            ..
+        } = ev
+        else {
+            continue;
+        };
+        let dt = Seconds(*time_s);
+        let energy = Watts(*card_w) * dt;
+        total_time += dt;
+        card_energy += energy;
+        gpu_energy += Watts(*gpu_w) * dt;
+        mem_energy += Watts(*mem_w) * dt;
+        let slot = match kernels.iter().position(|k| k.0 == kernel) {
+            Some(slot) => slot,
+            None => {
+                kernels.push((kernel, 0, Seconds(0.0), Joules(0.0)));
+                kernels.len() - 1
+            }
+        };
+        let k = &mut kernels[slot];
+        k.1 += 1;
+        k.2 += dt;
+        k.3 += energy;
     }
-    replayed.iter().zip(&report.trace).all(|(r, live)| {
-        r.0 == *live.kernel && r.1 == live.iteration && r.2 == ConfigPoint::from(live.cfg)
-    })
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    kernels.len() == report.per_kernel.len()
+        && same(total_time.value(), report.total_time.value())
+        && same(card_energy.value(), report.card_energy.value())
+        && same(gpu_energy.value(), report.gpu_energy.value())
+        && same(mem_energy.value(), report.mem_energy.value())
+        && kernels.iter().all(|&(kernel, invocations, time, energy)| {
+            report.kernel_report(kernel).is_some_and(|k| {
+                k.invocations == invocations
+                    && same(k.total_time.value(), time.value())
+                    && same(k.card_energy.value(), energy.value())
+            })
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -1081,6 +947,19 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_ring_reports_its_drops_through_the_summary() {
+        let h = TraceHandle::bounded(3);
+        for i in 0..5 {
+            h.emit(|| end("k", i, pt(32, 1000, 1375), 1.0));
+        }
+        let s = h.summary();
+        assert_eq!((s.events, s.dropped, s.recorded), (3, 2, 5));
+        assert_eq!(s.invocations, 3, "the summary covers the kept window");
+        // A raw slice knows nothing of the ring it came from.
+        assert_eq!(summarize(&h.events()).dropped, 0);
+    }
+
+    #[test]
     fn clones_share_one_buffer() {
         let a = TraceHandle::new();
         let b = a.clone();
@@ -1137,24 +1016,6 @@ mod tests {
     fn from_jsonl_reports_bad_lines() {
         let err = from_jsonl("{\"Nope\":{}}\n").unwrap_err();
         assert!(err.contains("line 1"), "got: {err}");
-    }
-
-    #[test]
-    fn csv_has_one_row_per_event_plus_header() {
-        let events = vec![
-            start("k", 0, pt(32, 1000, 1375)),
-            TraceEvent::FgProbe {
-                kernel: "k".into(),
-                iteration: 1,
-                from: pt(32, 1000, 1375),
-                to: pt(28, 900, 1225),
-                moved_down: vec![Tunable::CuCount, Tunable::CuFreq, Tunable::MemFreq],
-                moved_up: vec![],
-            },
-        ];
-        let csv = to_csv(&events);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().nth(2).unwrap().starts_with("FgProbe,k,1,28,900,1225"));
     }
 
     #[test]
@@ -1217,64 +1078,5 @@ mod tests {
         let seq = config_sequence(&events);
         assert_eq!(seq.len(), 3);
         assert_eq!(seq[2], ("a".to_string(), 1, pt(32, 900, 1375)));
-    }
-
-    #[test]
-    fn from_env_respects_variable() {
-        // The handle is enabled exactly when the session parser says the
-        // trace knob is on (Session owns the HARMONIA_* semantics).
-        assert_eq!(
-            TraceHandle::from_env().enabled(),
-            harmonia_types::Session::from_env().trace()
-        );
-    }
-
-    #[test]
-    fn tee_fans_events_out_to_both_buffers() {
-        let primary = TraceHandle::new();
-        let tap = TraceHandle::new();
-        let fanout = primary.tee(&tap);
-        assert!(fanout.enabled());
-        fanout.emit(|| TraceEvent::RunStart {
-            app: "a".into(),
-            governor: "g".into(),
-        });
-        assert_eq!(primary.len(), 1);
-        assert_eq!(tap.len(), 1);
-        assert_eq!(primary.events(), tap.events());
-        // Emitting through the originals does not cross over.
-        primary.emit(|| TraceEvent::RunStart {
-            app: "b".into(),
-            governor: "g".into(),
-        });
-        assert_eq!(primary.len(), 2);
-        assert_eq!(tap.len(), 1);
-    }
-
-    #[test]
-    fn tee_over_disabled_primary_still_records_into_tap() {
-        let tap = TraceHandle::new();
-        let fanout = TraceHandle::disabled().tee(&tap);
-        assert!(fanout.enabled());
-        fanout.emit(|| TraceEvent::RunStart {
-            app: "a".into(),
-            governor: "g".into(),
-        });
-        assert_eq!(tap.len(), 1);
-        // Two disabled handles tee into a handle that records nothing.
-        let dead = TraceHandle::disabled().tee(&TraceHandle::disabled());
-        assert!(!dead.enabled());
-    }
-
-    #[test]
-    fn tee_deduplicates_shared_buffers() {
-        let primary = TraceHandle::new();
-        // Teeing a clone of the same handle must not double-record.
-        let fanout = primary.tee(&primary.clone());
-        fanout.emit(|| TraceEvent::RunStart {
-            app: "a".into(),
-            governor: "g".into(),
-        });
-        assert_eq!(primary.len(), 1);
     }
 }

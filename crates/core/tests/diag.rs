@@ -5,6 +5,7 @@ use harmonia::dataset::TrainingSet;
 use harmonia::metrics::improvement;
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
+use harmonia::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::PowerModel;
 use harmonia_sim::{IntervalModel, TimingModel};
 use harmonia_workloads::suite;
@@ -14,7 +15,7 @@ use harmonia_workloads::suite;
 fn sweep_table() {
     let model = IntervalModel::default();
     let power = PowerModel::hd7970();
-    let rt = Runtime::new(&model, &power).without_trace();
+    let rt = Runtime::new(&model, &power);
     let data = TrainingSet::collect(&model);
     let trained = SensitivityPredictor::fit(&data).unwrap();
     println!(
@@ -70,26 +71,39 @@ fn sweep_table() {
 fn trace_app() {
     let model = IntervalModel::default();
     let power = PowerModel::hd7970();
-    let rt = Runtime::new(&model, &power);
     let data = TrainingSet::collect(&model);
     let trained = SensitivityPredictor::fit(&data).unwrap();
     let name = std::env::var("APP").unwrap_or_else(|_| "SRAD".into());
     let app = suite::by_name(&name).unwrap();
     let mut hm = HarmoniaGovernor::new(trained.clone());
-    let r = rt.run(&app, &mut hm);
-    let base = rt.run(&app, &mut BaselineGovernor::new());
-    for rec in &r.trace {
-        println!(
-            "it{:02} {:<26} cu={:>2} f={:>4} m={:>4} t={:>9.4}ms p={:>6.1}W busy={:>5.1}",
-            rec.iteration,
-            rec.kernel,
-            rec.cfg.compute.cu_count(),
-            rec.cfg.compute.freq().value(),
-            rec.cfg.memory.bus_freq().value(),
-            rec.time.value() * 1e3,
-            rec.card_power.value(),
-            rec.valu_busy_pct
-        );
+    let trace = TraceHandle::new();
+    let r = Runtime::new(&model, &power)
+        .with_telemetry(trace.clone())
+        .run(&app, &mut hm);
+    let base = Runtime::new(&model, &power).run(&app, &mut BaselineGovernor::new());
+    for ev in trace.events() {
+        if let TraceEvent::KernelEnd {
+            kernel,
+            iteration,
+            cfg,
+            time_s,
+            card_w,
+            counters,
+            ..
+        } = ev
+        {
+            println!(
+                "it{:02} {:<26} cu={:>2} f={:>4} m={:>4} t={:>9.4}ms p={:>6.1}W busy={:>5.1}",
+                iteration,
+                kernel,
+                cfg.cu,
+                cfg.cu_mhz,
+                cfg.mem_mhz,
+                time_s * 1e3,
+                card_w,
+                counters.valu_busy_pct
+            );
+        }
     }
     println!(
         "HM: t={:.3}ms E={:.2}J | base t={:.3}ms E={:.2}J | dED2={:.1}%",

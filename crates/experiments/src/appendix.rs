@@ -5,6 +5,7 @@
 use crate::context::Context;
 use crate::report::{pct, Report};
 use harmonia::metrics::{improvement, RunReport};
+use harmonia::telemetry;
 use harmonia_types::Tunable;
 use harmonia_workloads::suite;
 
@@ -58,11 +59,10 @@ pub fn app_deep_dive(ctx: &Context, app_name: &str) -> Option<Report> {
         r.push_row(vec!["governor".into(), run.governor.clone(), line(run)]);
     }
 
-    // 3. Where Harmonia spends its time.
+    // 3. Where Harmonia spends its time, from its decision trace.
+    let residency = telemetry::summarize(&eval.harmonia_trace).residency;
     for t in Tunable::ALL {
-        let dist = eval
-            .harmonia
-            .residency
+        let dist = residency
             .distribution(t)
             .into_iter()
             .map(|(v, f)| format!("{v}:{:.0}%", f * 100.0))

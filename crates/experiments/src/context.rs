@@ -24,9 +24,10 @@ pub struct AppEval {
     pub cg: RunReport,
     /// Full Harmonia (CG + FG).
     pub harmonia: RunReport,
-    /// The decision-telemetry event stream of the `harmonia` run. Figures
-    /// 15, 16 and 18 derive their series from this trace rather than from
-    /// ad-hoc invocation-record accounting.
+    /// The decision-telemetry event stream of the `harmonia` run: its
+    /// per-invocation record, since run reports hold aggregates only.
+    /// Figures 15, 16 and 18 and the appendix's residency rows read their
+    /// series from it.
     pub harmonia_trace: Vec<TraceEvent>,
     /// Exhaustive ED² oracle.
     pub oracle: RunReport,

@@ -285,7 +285,7 @@ pub fn ablation_tdp(ctx: &Context) -> Report {
         "TDP-constrained operation: reactive PowerTune (185 W cap) vs Harmonia",
         &["app", "scheme", "perf vs boost", "avg power (W)", "ED² vs boost"],
     );
-    let rt = harmonia::runtime::Runtime::new(ctx.model(), ctx.power()).without_trace();
+    let rt = harmonia::runtime::Runtime::new(ctx.model(), ctx.power());
     let cap = Watts(185.0);
     for name in ["MaxFlops", "DeviceMemory", "LUD", "CoMD"] {
         let app = suite::by_name(name).expect("suite app");
@@ -316,8 +316,7 @@ pub fn ablation_stacked(ctx: &Context) -> Report {
         &["app", "discrete HD7970", "stacked package"],
     );
     let stacked_power = harmonia_power::PowerModel::stacked_package();
-    let rt_stacked =
-        harmonia::runtime::Runtime::new(ctx.model(), &stacked_power).without_trace();
+    let rt_stacked = harmonia::runtime::Runtime::new(ctx.model(), &stacked_power);
     let res = PolicyResources::new(ctx.predictor(), ctx.model(), &stacked_power);
     let mut discrete_ratios = Vec::new();
     let mut stacked_ratios = Vec::new();
@@ -362,7 +361,7 @@ pub fn ablation_mem_voltage(ctx: &Context) -> Report {
         Watts(33.0),
     )
     .with_grid(ctx.model().gpu().grid);
-    let rt = harmonia::runtime::Runtime::new(ctx.model(), &scaled).without_trace();
+    let rt = harmonia::runtime::Runtime::new(ctx.model(), &scaled);
     let res = PolicyResources::new(ctx.predictor(), ctx.model(), &scaled).with_device(ctx.device());
     for e in ctx.matrix() {
         let base = rt.run(&e.app, &mut PolicySpec::Baseline.build(&res).governor);
@@ -387,7 +386,7 @@ pub fn ablation_noise(ctx: &Context) -> Report {
     );
     for amplitude in [0.0, 0.02, 0.05, 0.10] {
         let noisy = NoisyModel::new(ctx.model().clone(), amplitude, 0xA11CE);
-        let rt = harmonia::runtime::Runtime::new(&noisy, ctx.power()).without_trace();
+        let rt = harmonia::runtime::Runtime::new(&noisy, ctx.power());
         let res = PolicyResources::new(ctx.predictor(), &noisy, ctx.power());
         let mut ratios = Vec::new();
         let mut worst = (String::new(), f64::MAX);

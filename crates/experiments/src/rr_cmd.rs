@@ -223,7 +223,9 @@ pub fn record_session_with(
 ///
 /// Fails (with a human-readable message) when the trace has no
 /// `SessionStart` header, names an application that is not in the suite,
-/// or names a policy the registry does not know.
+/// names a policy the registry does not know, or records a decision or
+/// sample off `ctx`'s device grid — a trace recorded on another device,
+/// which the message says to replay under that device's `--device`.
 pub fn replay_session(ctx: &Context, recorded: &[SessionEvent]) -> Result<ReplayedSession, String> {
     let Some(SessionEvent::SessionStart { app, policy, fault_seed }) = recorded.first() else {
         return Err("trace has no session-start header".to_string());
@@ -235,6 +237,22 @@ pub fn replay_session(ctx: &Context, recorded: &[SessionEvent]) -> Result<Replay
     let spec: PolicySpec = policy
         .parse()
         .map_err(|e| format!("recorded policy {policy:?} is unknown: {e}"))?;
+    // The header does not name the recording device, but every
+    // configuration a session ran at lies on that device's grid.
+    let grid = &ctx.model().gpu().grid;
+    let foreign = recorded.iter().find_map(|e| match e {
+        SessionEvent::Decision { cfg, .. } | SessionEvent::Sample { cfg, .. } => {
+            cfg.to_hw_on(grid).is_none().then_some(*cfg)
+        }
+        _ => None,
+    });
+    if let Some(cfg) = foreign {
+        let device = &ctx.device().name;
+        return Err(format!(
+            "trace was recorded on another device: configuration {cfg} is off the {device} \
+             grid; replay it with `--device NAME` naming the recording device"
+        ));
+    }
 
     let replayer = Replayer::new(recorded.to_vec());
     let model = ReplayModel::new(replayer.clone(), *ctx.model().gpu());
@@ -323,7 +341,7 @@ mod tests {
         let rep = replay_session(&ctx, &rec.events).expect("replays");
         assert!(rep.divergence.is_none(), "{}", differ::diff_report(&rec.events, &rep.events));
         assert!(rep.replay_error.is_none());
-        assert_eq!(rep.run, rec.run, "identical RunReport incl. decision trace");
+        assert_eq!(rep.run, rec.run, "identical RunReport");
     }
 
     #[test]

@@ -52,7 +52,9 @@ pub fn trace_app_with(ctx: &Context, name: &str, spec: PolicySpec) -> Option<Tra
         .run(&app, &mut ctx.policy(spec).governor);
     let events = handle.events();
     let jsonl = telemetry::to_jsonl(&events);
-    let s = telemetry::summarize(&events);
+    // The handle's summary, unlike one of the bare slice, counts the
+    // events the ring evicted.
+    let s = handle.summary();
 
     // The default policy keeps the historical report id and title so the
     // golden export stays byte-identical.
@@ -154,7 +156,7 @@ mod tests {
         let ctx = Context::new();
         let t = trace_app(&ctx, "maxflops").expect("MaxFlops is in the suite");
         assert!(!t.events.is_empty());
-        assert!(t.jsonl.lines().count() >= t.run.trace.len());
+        assert_eq!(t.jsonl.lines().count(), t.events.len());
         assert!(telemetry::matches_run(&t.events, &t.run));
         let parsed = telemetry::from_jsonl(&t.jsonl).expect("round trip");
         assert_eq!(parsed.len(), t.events.len());

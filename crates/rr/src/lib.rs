@@ -16,9 +16,9 @@
 //!   **bitwise** on floats (NaN-carrying power-glitch samples compare
 //!   equal to themselves), which is what replay guarantees demand.
 //! * [`Recorder`] / [`Replayer`] — the pair threaded through
-//!   `harmonia::Runtime` (`with_recorder`/`with_replay`) and the
-//!   [`harmonia_sim::TimingModel`] wrappers via
-//!   [`RecordingModel`]/[`ReplayModel`].
+//!   `harmonia::Runtime` (`with_recorder`/`with_replay`); on replay the
+//!   [`ReplayModel`] serves the recorded samples in place of a
+//!   [`harmonia_sim::TimingModel`].
 //! * [`codec`] — the versioned binary format ([`codec::encode`] /
 //!   [`codec::decode`], typed [`CodecError`]s, future versions rejected).
 //! * [`differ`] — semantic first-divergence reporting between two sessions
@@ -36,7 +36,7 @@ pub mod model;
 
 pub use codec::{decode, encode, CodecError, FORMAT_VERSION};
 pub use differ::{diff_report, first_divergence, Divergence};
-pub use model::{RecordingModel, ReplayModel};
+pub use model::ReplayModel;
 
 use harmonia_sim::model::FastForwardStats;
 use harmonia_sim::{ActuationOutcome, CounterSample, FaultKind, SimResult};

@@ -1,81 +1,17 @@
-//! [`TimingModel`] adapters for record and replay.
+//! The [`TimingModel`] side of replay.
 //!
-//! [`RecordingModel`] taps the output of any model stack — wrap the
-//! *outermost* wrapper (Event/Cached/Noisy/Faulty) so the recorded sample
-//! is exactly the composite the monitoring block saw, with every
-//! stochastic perturbation baked in. [`ReplayModel`] is the other side: it
-//! has no inner model at all and serves recorded samples from a
-//! [`Replayer`], which is what "the model's stochastic sources swapped for
-//! trace playback" means mechanically.
+//! Recording needs no model adapter: the runtime records each composite
+//! sample the monitoring block saw (the outermost model's output, with
+//! every stochastic perturbation baked in) as a
+//! [`SessionEvent::Sample`](crate::SessionEvent::Sample). [`ReplayModel`]
+//! is the other side: it has no inner model at all and serves recorded
+//! samples from a [`Replayer`], which is what "the model's stochastic
+//! sources swapped for trace playback" means mechanically.
 
-use crate::{Recorder, Replayer, SessionEvent};
+use crate::Replayer;
 use harmonia_sim::model::SimResult;
 use harmonia_sim::{GpuDescriptor, KernelProfile, TimingModel};
 use harmonia_types::HwConfig;
-
-/// Wraps a [`TimingModel`] and records every composite sample it produces
-/// into a [`Recorder`]. Bit-transparent: the returned results are exactly
-/// the inner model's.
-#[derive(Debug, Clone)]
-pub struct RecordingModel<M> {
-    inner: M,
-    recorder: Recorder,
-}
-
-impl<M: TimingModel> RecordingModel<M> {
-    /// Taps `inner`'s output into `recorder`.
-    pub fn new(inner: M, recorder: Recorder) -> Self {
-        Self { inner, recorder }
-    }
-
-    /// The wrapped model.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// The recorder receiving the samples.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-}
-
-impl<M: TimingModel> TimingModel for RecordingModel<M> {
-    fn simulate(&self, cfg: HwConfig, kernel: &KernelProfile, iteration: u64) -> SimResult {
-        let result = self.inner.simulate(cfg, kernel, iteration);
-        self.recorder.record(SessionEvent::Sample {
-            kernel: kernel.name.clone(),
-            iteration,
-            cfg: cfg.into(),
-            time_s: result.time.value(),
-            counters: result.counters,
-            stepped_waves: result.fast_forward.stepped_waves,
-            fast_forwarded_waves: result.fast_forward.fast_forwarded_waves,
-        });
-        result
-    }
-
-    // The default batch loop calls `simulate` per lane in order, recording
-    // each sample — intentionally not forwarded to the inner batch path,
-    // which would bypass the tap.
-
-    fn gpu(&self) -> &GpuDescriptor {
-        self.inner.gpu()
-    }
-
-    fn phase_determined(&self) -> bool {
-        // Recording is order- and call-sensitive: memoization collapsing
-        // iterations would skip taps, so stay conservative.
-        false
-    }
-
-    fn fidelity_key(&self) -> u64 {
-        self.inner.fidelity_key()
-    }
-
-    fn device_key(&self) -> u64 {
-        self.inner.device_key()
-    }
-}
 
 /// A [`TimingModel`] with no simulation inside: every `simulate` call is
 /// answered from the recorded session via a [`Replayer`]. An exhausted or
@@ -134,6 +70,7 @@ impl TimingModel for ReplayModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Recorder, SessionEvent};
     use harmonia_sim::{FaultKind, FaultPlan, FaultSpec, FaultyModel, IntervalModel, NoisyModel};
 
     fn kernel() -> KernelProfile {
@@ -149,15 +86,28 @@ mod tests {
             .with(FaultSpec::new(FaultKind::PowerGlitch, 0.3));
         let stack = FaultyModel::new(NoisyModel::new(IntervalModel::default(), 0.05, 7), plan);
         let recorder = Recorder::new();
-        let recording = RecordingModel::new(&stack, recorder.clone());
 
         let k = kernel();
         let cfg = HwConfig::max_hd7970();
         let low = cfg
             .step_down_on(&stack.gpu().grid, harmonia_types::Tunable::CuFreq)
             .unwrap();
+        // Record each composite sample as the runtime does.
         let live: Vec<SimResult> = (0..8)
-            .map(|i| recording.simulate(if i % 2 == 0 { cfg } else { low }, &k, i))
+            .map(|i| {
+                let at = if i % 2 == 0 { cfg } else { low };
+                let result = stack.simulate(at, &k, i);
+                recorder.record(SessionEvent::Sample {
+                    kernel: k.name.clone(),
+                    iteration: i,
+                    cfg: at.into(),
+                    time_s: result.time.value(),
+                    counters: result.counters,
+                    stepped_waves: result.fast_forward.stepped_waves,
+                    fast_forwarded_waves: result.fast_forward.fast_forwarded_waves,
+                });
+                result
+            })
             .collect();
         assert_eq!(recorder.len(), 8);
 
@@ -176,16 +126,6 @@ mod tests {
             assert_eq!(got.fast_forward, expected.fast_forward);
         }
         assert!(replay.replayer().error().is_none());
-    }
-
-    #[test]
-    fn recording_is_bit_transparent() {
-        let base = IntervalModel::default();
-        let recording = RecordingModel::new(&base, Recorder::new());
-        let k = kernel();
-        let cfg = HwConfig::max_hd7970();
-        assert_eq!(recording.simulate(cfg, &k, 3), base.simulate(cfg, &k, 3));
-        assert_eq!(recording.fidelity_key(), base.fidelity_key());
     }
 
     #[test]

@@ -10,13 +10,38 @@ use harmonia::governor::{
     BaselineGovernor, CappedGovernor, HarmoniaGovernor, PowerTuneGovernor,
 };
 use harmonia::dataset::TrainingSet;
-use harmonia::metrics::improvement;
+use harmonia::governor::Governor;
+use harmonia::metrics::{improvement, RunReport};
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
+use harmonia::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::PowerModel;
 use harmonia_sim::IntervalModel;
 use harmonia_types::Watts;
-use harmonia_workloads::suite;
+use harmonia_workloads::{suite, Application};
+
+/// Runs `app` under `governor` with a fresh decision trace and returns the
+/// report with the run's peak card power: the largest `KernelEnd` power.
+fn run_with_peak(
+    model: &IntervalModel,
+    power: &PowerModel,
+    app: &Application,
+    governor: &mut dyn Governor,
+) -> (RunReport, f64) {
+    let trace = TraceHandle::new();
+    let report = Runtime::new(model, power)
+        .with_telemetry(trace.clone())
+        .run(app, governor);
+    let peak = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::KernelEnd { card_w, .. } => Some(*card_w),
+            _ => None,
+        })
+        .fold(0.0, f64::max);
+    (report, peak)
+}
 
 fn main() {
     let cap = Watts(
@@ -43,16 +68,16 @@ fn main() {
         let unconstrained = runtime.run(&app, &mut BaselineGovernor::new());
 
         let mut powertune = PowerTuneGovernor::with_tdp(&power, cap);
-        let pt = runtime.run(&app, &mut powertune);
+        let pt = run_with_peak(&model, &power, &app, &mut powertune);
 
         let mut capped = CappedGovernor::new(
             HarmoniaGovernor::new(predictor.clone()),
             &power,
             cap,
         );
-        let hm = runtime.run(&app, &mut capped);
+        let hm = run_with_peak(&model, &power, &app, &mut capped);
 
-        for run in [&pt, &hm] {
+        for (run, peak_w) in [&pt, &hm] {
             println!(
                 "{:<14} {:<16} {:>10} {:>10.1} {:>10.1} {:>10}",
                 app.name,
@@ -63,7 +88,7 @@ fn main() {
                         * 100.0
                 ),
                 run.avg_power().value(),
-                run.peak_power().value(),
+                peak_w,
                 format!(
                     "{:+.1}%",
                     improvement(unconstrained.ed2(), run.ed2()) * 100.0

@@ -5,7 +5,7 @@
 //! model that reported anything else would alias (or split) cache entries
 //! across devices.
 
-use harmonia_rr::{Recorder, RecordingModel, ReplayModel, Replayer};
+use harmonia_rr::{ReplayModel, Replayer};
 use harmonia_sim::{
     CachedModel, EventModel, FaultKind, FaultPlan, FaultSpec, FaultyModel, GpuDescriptor,
     IntervalModel, NoisyModel, SimCache, TimingModel, TraceModel,
@@ -101,11 +101,8 @@ fn wrappers_report_their_inner_models_key() {
         );
         assert_eq!(faulty.device_key(), key, "faulty on {name}");
 
-        let recording = RecordingModel::new(&faulty, Recorder::new());
-        assert_eq!(recording.device_key(), key, "recording on {name}");
-
         // Playback has no inner model: it describes the recorded device.
-        let replay = ReplayModel::new(Replayer::new(Vec::new()), *recording.gpu());
+        let replay = ReplayModel::new(Replayer::new(Vec::new()), *faulty.gpu());
         assert_eq!(replay.device_key(), key, "replay on {name}");
 
         let by_ref: &dyn TimingModel = &inner;

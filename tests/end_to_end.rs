@@ -3,14 +3,15 @@
 
 use harmonia::dataset::TrainingSet;
 use harmonia::governor::{Governor, PolicyResources, PolicySpec};
-use harmonia::metrics::improvement;
+use harmonia::metrics::{improvement, RunReport};
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
+use harmonia::telemetry::{self, ConfigPoint, TraceEvent, TraceHandle};
 use harmonia_power::PowerModel;
 use harmonia_sim::faults::{FaultKind, FaultSpec};
 use harmonia_sim::{CounterSample, FaultPlan, IntervalModel, KernelProfile};
 use harmonia_stats::geometric_mean;
-use harmonia_types::{ConfigSpace, HwConfig, Joules, Seconds, Tunable};
+use harmonia_types::{ConfigSpace, HwConfig, Joules, Seconds, Tunable, Watts};
 use harmonia_workloads::{suite, Application};
 use std::sync::{Arc, OnceLock};
 
@@ -41,10 +42,57 @@ fn resources() -> PolicyResources<'static> {
     PolicyResources::new(&h.predictor, &h.model, &h.power)
 }
 
+/// Runs `app` under `governor` on the harness models with a fresh
+/// decision trace: the report and the run's events.
+fn traced_run(
+    app: &Application,
+    governor: &mut dyn Governor,
+    faults: Option<&FaultPlan>,
+) -> (RunReport, Vec<TraceEvent>) {
+    let h = harness();
+    let trace = TraceHandle::new();
+    let mut rt = Runtime::new(&h.model, &h.power).with_telemetry(trace.clone());
+    if let Some(plan) = faults {
+        rt = rt.with_faults(plan);
+    }
+    let report = rt.run(app, governor);
+    (report, trace.events())
+}
+
+/// One completed invocation, as its `KernelEnd` event records it.
+struct Invocation<'e> {
+    kernel: &'e str,
+    cfg: ConfigPoint,
+    time: Seconds,
+    card_power: Watts,
+}
+
+/// The run's invocations, in run order.
+fn invocations(events: &[TraceEvent]) -> Vec<Invocation<'_>> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::KernelEnd {
+                kernel,
+                cfg,
+                time_s,
+                card_w,
+                ..
+            } => Some(Invocation {
+                kernel,
+                cfg: *cfg,
+                time: Seconds(*time_s),
+                card_power: Watts(*card_w),
+            }),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn suite_wide_ed2_ordering_baseline_vs_harmonia_vs_oracle() {
     let h = harness();
-    let rt = Runtime::new(&h.model, &h.power).without_trace();
+    let rt = Runtime::new(&h.model, &h.power);
     let res = resources();
     let mut ratios_hm = Vec::new();
     for app in suite::all() {
@@ -78,7 +126,7 @@ fn suite_wide_ed2_ordering_baseline_vs_harmonia_vs_oracle() {
 #[test]
 fn harmonia_performance_loss_is_bounded() {
     let h = harness();
-    let rt = Runtime::new(&h.model, &h.power).without_trace();
+    let rt = Runtime::new(&h.model, &h.power);
     let res = resources();
     for app in suite::all() {
         let base = rt.run(&app, &mut PolicySpec::Baseline.build(&res).governor);
@@ -98,7 +146,7 @@ fn thrash_prone_apps_gain_performance() {
     // Section 7.1: BPT, CFD and XSBench run *faster* under Harmonia because
     // gating CUs reduces L2 interference.
     let h = harness();
-    let rt = Runtime::new(&h.model, &h.power).without_trace();
+    let rt = Runtime::new(&h.model, &h.power);
     let res = resources();
     for name in ["BPT", "XSBench", "CFD"] {
         let app = suite::by_name(name).expect("suite app");
@@ -115,23 +163,28 @@ fn thrash_prone_apps_gain_performance() {
 
 #[test]
 fn run_reports_are_internally_consistent() {
-    let h = harness();
-    let rt = Runtime::new(&h.model, &h.power);
     let app = suite::sort();
-    let report = rt.run(&app, &mut PolicySpec::Harmonia.build(&resources()).governor);
+    let (report, events) = traced_run(
+        &app,
+        &mut PolicySpec::Harmonia.build(&resources()).governor,
+        None,
+    );
 
     // Per-kernel times sum to the total.
     let kernel_sum: f64 = report.per_kernel.iter().map(|k| k.total_time.value()).sum();
     assert!((kernel_sum - report.total_time.value()).abs() < 1e-9);
 
-    // Trace covers every invocation and its durations also sum up.
-    assert_eq!(report.trace.len() as u64, app.total_invocations());
-    let trace_sum: f64 = report.trace.iter().map(|r| r.time.value()).sum();
+    // The decision trace covers every invocation and its durations also
+    // sum up.
+    let runs = invocations(&events);
+    assert_eq!(runs.len() as u64, app.total_invocations());
+    let trace_sum: f64 = runs.iter().map(|r| r.time.value()).sum();
     assert!((trace_sum - report.total_time.value()).abs() < 1e-9);
 
     // Residency distributions are probability distributions.
+    let residency = telemetry::summarize(&events).residency;
     for t in Tunable::ALL {
-        let total: f64 = report.residency.distribution(t).iter().map(|(_, f)| f).sum();
+        let total: f64 = residency.distribution(t).iter().map(|(_, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-9, "{t} residency sums to {total}");
     }
 
@@ -141,20 +194,17 @@ fn run_reports_are_internally_consistent() {
 
 #[test]
 fn freq_only_ablation_touches_only_the_compute_clock() {
-    let h = harness();
-    let rt = Runtime::new(&h.model, &h.power);
     let app = suite::stencil();
-    let report = rt.run(
+    let (_, events) = traced_run(
         &app,
         &mut PolicySpec::FreqOnly.build(&resources()).governor,
+        None,
     );
-    for rec in &report.trace {
-        assert_eq!(rec.cfg.compute.cu_count(), 32, "CU count must stay at 32");
-        assert_eq!(
-            rec.cfg.memory.bus_freq().value(),
-            1375,
-            "memory clock must stay at max"
-        );
+    let runs = invocations(&events);
+    assert_eq!(runs.len() as u64, app.total_invocations());
+    for rec in runs {
+        assert_eq!(rec.cfg.cu, 32, "CU count must stay at 32");
+        assert_eq!(rec.cfg.mem_mhz, 1375, "memory clock must stay at max");
     }
 }
 
@@ -163,7 +213,7 @@ fn freq_only_gains_less_than_full_harmonia() {
     // Key insight 2 of Section 7.3: scaling CU count + memory bandwidth
     // beats compute-frequency scaling alone.
     let h = harness();
-    let rt = Runtime::new(&h.model, &h.power).without_trace();
+    let rt = Runtime::new(&h.model, &h.power);
     let res = resources();
     let mut full_ratios = Vec::new();
     let mut fo_ratios = Vec::new();
@@ -184,14 +234,16 @@ fn freq_only_gains_less_than_full_harmonia() {
 
 #[test]
 fn baseline_is_always_boost() {
-    let h = harness();
-    let rt = Runtime::new(&h.model, &h.power);
-    let report = rt.run(
-        &suite::maxflops(),
+    let app = suite::maxflops();
+    let (_, events) = traced_run(
+        &app,
         &mut PolicySpec::Baseline.build(&resources()).governor,
+        None,
     );
-    for rec in &report.trace {
-        assert_eq!(rec.cfg, HwConfig::max_hd7970());
+    let runs = invocations(&events);
+    assert_eq!(runs.len() as u64, app.total_invocations());
+    for rec in runs {
+        assert_eq!(rec.cfg, HwConfig::max_hd7970().into());
     }
 }
 
@@ -211,27 +263,33 @@ fn sort_with_a_repeated_kernel() -> Application {
 
 #[test]
 fn a_kernel_listed_twice_reports_once_in_name_order() {
-    let h = harness();
     let app = sort_with_a_repeated_kernel();
-    let run = Runtime::new(&h.model, &h.power)
-        .run(&app, &mut PolicySpec::Harmonia.build(&resources()).governor);
+    let (run, events) = traced_run(
+        &app,
+        &mut PolicySpec::Harmonia.build(&resources()).governor,
+        None,
+    );
     let names: Vec<&str> = run.per_kernel.iter().map(|r| &*r.kernel).collect();
     assert_eq!(
         names,
         ["Sort.BottomScan", "Sort.TopScan"],
         "merged, in name order"
     );
+    let runs = invocations(&events);
     for report in &run.per_kernel {
-        // Each report is the fold of its kernel's records, in run order,
-        // and every record shares the report's interned name.
+        // Each report shares its profile's name allocation and is the fold
+        // of its kernel's KernelEnd events, in run order.
+        let name = &report.kernel;
+        let profile = app
+            .kernel(name)
+            .expect("the report names a kernel of the app");
+        assert!(Arc::ptr_eq(&profile.name, name), "{name}");
         let (mut invocations, mut time, mut energy) = (0u64, Seconds(0.0), Joules(0.0));
-        for r in run.trace.iter().filter(|r| r.kernel == report.kernel) {
-            assert!(Arc::ptr_eq(&r.kernel, &report.kernel), "{}", r.kernel);
+        for r in runs.iter().filter(|r| r.kernel == &**name) {
             invocations += 1;
             time += r.time;
             energy += r.card_power * r.time;
         }
-        let name = &report.kernel;
         assert_eq!(report.invocations, invocations, "{name}");
         assert_eq!(
             report.total_time.value().to_bits(),
@@ -274,22 +332,19 @@ fn a_kernel_listed_twice_shares_its_last_actual_configuration() {
     // Every transition is denied, so each kernel keeps running at the
     // configuration of its first invocation — the second position of the
     // repeated kernel included, because both positions are one kernel.
-    let h = harness();
     let app = sort_with_a_repeated_kernel();
     let plan = FaultPlan::new(7).with(FaultSpec::new(FaultKind::DvfsDeny, 1.0));
     let mut governor = EveryCallMoves {
-        space: ConfigSpace::for_grid(h.power.grid()),
+        space: ConfigSpace::for_grid(harness().power.grid()),
         calls: 0,
     };
-    let run = Runtime::new(&h.model, &h.power)
-        .with_faults(&plan)
-        .run(&app, &mut governor);
+    let (run, events) = traced_run(&app, &mut governor, Some(&plan));
     assert_eq!(governor.calls as u64, app.total_invocations());
+    let runs = invocations(&events);
     for report in &run.per_kernel {
-        let mut cfgs = run
-            .trace
+        let mut cfgs = runs
             .iter()
-            .filter(|r| r.kernel == report.kernel)
+            .filter(|r| r.kernel == &*report.kernel)
             .map(|r| r.cfg);
         let first = cfgs.next().expect("the kernel ran");
         assert!(

@@ -5,8 +5,6 @@
 //!   the runtime's `TraceHandle` to its inner governor, so a stacked
 //!   policy's decision events reach the primary sink no matter how deep
 //!   the emitting governor sits.
-//! * **Trace taps** — `TraceLayer` tees events into its side handle
-//!   without stealing them from the primary sink.
 //! * **Watchdog telemetry** — a layered watchdog emits the same
 //!   `FaultDetected` / `FallbackEngaged` / `FallbackReleased` sequence the
 //!   old governor-internal state machines did.
@@ -19,7 +17,7 @@
 
 use harmonia::governor::{
     CappedGovernor, Governor, GovernorLayer, PolicyResources, PolicySpec, SanitizeLayer,
-    TraceLayer, WatchdogConfig, WatchdogLayer,
+    WatchdogConfig, WatchdogLayer,
 };
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
@@ -127,28 +125,8 @@ fn every_layer_forwards_the_trace_handle() {
     let sanitized = SanitizeLayer::default().layer(Box::new(ProbeGovernor::new()));
     assert_eq!(probe_events(sanitized), 1, "sanitize layer");
 
-    let traced = TraceLayer::new(TraceHandle::new()).layer(Box::new(ProbeGovernor::new()));
-    assert_eq!(probe_events(traced), 1, "trace layer");
-
     let capped = CappedGovernor::new(ProbeGovernor::new(), &power, Watts(500.0));
     assert_eq!(probe_events(capped), 1, "cap decorator");
-}
-
-#[test]
-fn trace_layer_tees_without_stealing_from_the_primary_sink() {
-    let tap = TraceHandle::new();
-    let mut g = TraceLayer::new(tap.clone()).layer(Box::new(ProbeGovernor::new()));
-
-    // Before the runtime installs a primary handle, the tap alone records.
-    g.decide(&kernel(), 0);
-    assert_eq!(tap.events().len(), 1, "tap must be seeded at layer time");
-
-    // After set_trace, both the primary sink and the tap record.
-    let primary = TraceHandle::new();
-    g.set_trace(primary.clone());
-    g.decide(&kernel(), 1);
-    assert_eq!(primary.events().len(), 1, "primary sink missed the event");
-    assert_eq!(tap.events().len(), 2, "tap missed the teed event");
 }
 
 #[test]
@@ -245,7 +223,7 @@ fn hardened_and_plain_capped_stacks_agree_on_cap_accounting() {
     let model = IntervalModel::default();
     let power = PowerModel::hd7970();
     let res = PolicyResources::new(&predictor, &model, &power);
-    let rt = Runtime::new(&model, &power).without_trace();
+    let rt = Runtime::new(&model, &power);
     let app = suite::maxflops();
 
     let plain = PolicySpec::Capped(Watts(185.0)).build(&res);

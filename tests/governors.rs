@@ -51,7 +51,7 @@ fn powertune_with_headroom_equals_the_baseline() {
 fn capped_harmonia_dominates_powertune_under_the_same_envelope() {
     let (model, power, _) = harness();
     let res = resources();
-    let rt = Runtime::new(model, power).without_trace();
+    let rt = Runtime::new(model, power);
     let cap = Watts(185.0);
     for name in ["MaxFlops", "DeviceMemory", "CoMD", "Stencil"] {
         let app = suite::by_name(name).expect("suite app");
@@ -160,7 +160,7 @@ fn harmonia_on_probe_applications_never_collapses() {
     // performance envelope even when predictions are off.
     let (model, power, _) = harness();
     let res = resources();
-    let rt = Runtime::new(model, power).without_trace();
+    let rt = Runtime::new(model, power);
     for kernel in [
         probes::compute_probe(0.5),
         probes::bandwidth_probe(64.0),

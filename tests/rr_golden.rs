@@ -144,6 +144,40 @@ fn retried_chaos_sessions_replay_bit_exactly_on_every_device() {
     }
 }
 
+/// A session replays only on the device it was recorded on. Replaying it
+/// on any other catalog device is refused before it runs, with an error
+/// that names the replaying device and the `--device` flag, instead of a
+/// divergence at the first decision.
+#[test]
+fn sessions_replay_only_on_their_recording_device() {
+    let contexts: Vec<(&str, Context)> = DeviceSpec::catalog()
+        .into_iter()
+        .map(|d| {
+            let spec = DeviceSpec::lookup(d).expect("catalog names resolve");
+            (d, Context::for_device(spec))
+        })
+        .collect();
+    for (recorded_on, ctx) in &contexts {
+        let live = rr_cmd::record_session(ctx, "MaxFlops", PolicySpec::Baseline, None)
+            .expect("MaxFlops in suite");
+        let own = rr_cmd::replay_session(ctx, &live.events).expect("replays on its own device");
+        assert!(
+            own.divergence.is_none(),
+            "{recorded_on}: replay diverged:\n{}",
+            differ::diff_report(&live.events, &own.events)
+        );
+        for (replayed_on, other) in contexts.iter().filter(|(d, _)| d != recorded_on) {
+            let Err(err) = rr_cmd::replay_session(other, &live.events) else {
+                panic!("a {recorded_on} session replayed on {replayed_on}");
+            };
+            assert!(
+                err.contains(&format!("off the {replayed_on} grid")) && err.contains("--device"),
+                "{recorded_on} on {replayed_on}: {err}"
+            );
+        }
+    }
+}
+
 /// Applies `f` to event `i` of a decoded golden stream.
 fn mutated(events: &[SessionEvent], i: usize, f: impl FnOnce(&mut SessionEvent)) -> Vec<SessionEvent> {
     let mut out = events.to_vec();
