@@ -8,11 +8,12 @@
 //! tunable that buys the most power per step. The inner policy still
 //! receives the real counters, so Harmonia-under-a-cap keeps learning.
 //!
-//! Safe-state fallback is not built in: stack a
-//! [`WatchdogLayer`](crate::governor::WatchdogLayer) *inside* this
-//! decorator (the registry's `hardened:capped` spec does) and hand its
-//! [`DecisionLedger`] to [`CappedGovernor::with_ledger`] so the watchdog's
-//! actuation check compares against the post-clamp grant.
+//! Safe-state fallback is not built in: build a
+//! [`WatchdogGovernor`](crate::governor::WatchdogGovernor) *inside* this
+//! decorator with [`CappedGovernor::checked`] (the registry's
+//! `hardened:capped` spec does), which hands it the clamp's
+//! [`DecisionLedger`] so its actuation check compares against the
+//! post-clamp grant.
 
 use crate::governor::stack::{DecisionLedger, PolicyStats};
 use crate::governor::{Governor, KernelMap};
@@ -34,8 +35,8 @@ pub struct CappedGovernor<'a, G> {
     /// Last observed activity per kernel, used to project power.
     activity: KernelMap<Activity>,
     trace: TraceHandle,
-    /// Shared grant ledger, when an inner watchdog layer needs to see the
-    /// post-clamp decision.
+    /// The ledger post-clamp grants are written to, when the clamp was
+    /// built [`checked`](Self::checked).
     ledger: Option<DecisionLedger>,
     /// Cap-violation accounting (shared with the stack's stats handle when
     /// registry-built).
@@ -61,13 +62,21 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
         }
     }
 
-    /// Records every post-clamp grant into `ledger`. Because this decorator
-    /// decides last, its write overwrites any pre-clamp entry an inner
-    /// watchdog layer made — actuation checks then compare against what
-    /// was actually granted.
-    pub fn with_ledger(mut self, ledger: DecisionLedger) -> Self {
-        self.ledger = Some(ledger);
-        self
+    /// Wraps the governor `build` makes from this clamp's
+    /// [`DecisionLedger`], limiting projected card power to `cap`. The clamp
+    /// writes every post-clamp grant to the ledger, so a check built with it
+    /// compares each observed configuration against what was actually
+    /// granted.
+    pub fn checked(
+        build: impl FnOnce(DecisionLedger) -> G,
+        power: &'a PowerModel,
+        cap: Watts,
+    ) -> Self {
+        let ledger = DecisionLedger::new();
+        Self {
+            ledger: Some(ledger.clone()),
+            ..Self::new(build(ledger), power, cap)
+        }
     }
 
     /// Shares `stats` so cap violations are counted into an external handle
@@ -207,7 +216,9 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         // NaN projections (glitched telemetry) fail the comparison and are
         // not counted — a stacked counter watchdog catches implausible
         // samples, and a stacked sanitizer rejects physically impossible
-        // ones before they reach this accounting.
+        // ones before they reach this accounting. A violation while a park
+        // below is engaged (either watchdog's fallback or the ladder's safe
+        // rung) also counts as one while parked.
         let over = self.power.card_pwr(cfg, &activity).value() > self.cap.value() * 1.05;
         if over && !pressure {
             self.stats.count_cap_violation();
@@ -330,14 +341,21 @@ mod tests {
     #[test]
     fn post_clamp_grant_lands_in_the_ledger() {
         let power = PowerModel::hd7970();
-        let ledger = DecisionLedger::new();
+        let mut handed = None;
         let k = suite::maxflops().kernels[0].clone();
         // A cap this tight forces a clamp below boost on the conservative
         // warm-up projection.
-        let mut g = CappedGovernor::new(BaselineGovernor::new(), &power, Watts(150.0))
-            .with_ledger(ledger.clone());
+        let mut g = CappedGovernor::checked(
+            |ledger| {
+                handed = Some(ledger);
+                BaselineGovernor::new()
+            },
+            &power,
+            Watts(150.0),
+        );
         let granted = g.decide(&k, 0);
         assert_ne!(granted, HwConfig::max_hd7970());
+        let ledger = handed.expect("the clamp hands its ledger to the build");
         assert_eq!(ledger.granted(&k.name), Some(granted));
     }
 }

@@ -144,8 +144,8 @@ impl KernelState {
 /// The two-level Harmonia power-management governor.
 ///
 /// Hardening (safe-state watchdog, counter sanitization) is not built in:
-/// compose it via [`WatchdogLayer`](crate::governor::WatchdogLayer) /
-/// [`SanitizeLayer`](crate::governor::SanitizeLayer) or ask the
+/// wrap it in a [`WatchdogGovernor`](crate::governor::WatchdogGovernor) /
+/// [`SanitizeGovernor`](crate::governor::SanitizeGovernor) or ask the
 /// [`PolicySpec`](crate::governor::PolicySpec) registry for a
 /// `hardened:*` stack.
 #[derive(Debug, Clone)]

@@ -1,35 +1,40 @@
 //! Graceful-degradation ladder: stepwise fallback instead of the
 //! watchdog's all-or-nothing park.
 //!
-//! The [`WatchdogLayer`](super::WatchdogLayer) answers every anomaly
+//! The [`WatchdogGovernor`](super::WatchdogGovernor) answers every anomaly
 //! streak the same way: pin the safe state and bypass the whole policy.
 //! That throws away the CG/FG machinery even when a *partial* failure —
 //! a flaky fine-grain probe, a stuck counter the sanitizer is already
-//! holding — could be ridden out at reduced capability. [`DegradeLayer`]
-//! replaces the binary park with a [`Ladder`] of named [`Rung`]s:
+//! holding — could be ridden out at reduced capability.
+//! [`DegradeGovernor`] replaces the binary park with a [`Ladder`] of named
+//! [`Rung`]s:
 //!
 //! ```text
 //!   Full (CG + FG)  ──demote──▶  CG-only  ──▶  freq-only  ──▶  safe-state
 //!        ◀──promote (hysteresis: `hold` consecutive clean intervals)──
 //! ```
 //!
-//! Each demotion steps one rung down after `demote_threshold` consecutive
-//! anomalous intervals (the terminal step into the safe state demands the
-//! longer `safe_demote_threshold` streak) and *doubles* the promotion hold
-//! (exponential backoff, capped at `max_hold`), so a flapping fault
-//! settles onto a low rung instead of oscillating. Promotion climbs one rung at a time and
-//! requires `hold` consecutive clean intervals per step; a long clean
-//! streak at the top rung resets the backoff. Anomalies are judged by the
-//! same [`CounterCheck`] the watchdog uses, widened with sanitizer-reject
-//! pressure (new rejects recorded into the shared [`PolicyStats`] since
-//! the previous interval count as anomalous — the sanitizer's escalation
-//! path lands here). The two sources carry different weight
-//! ([`LadderSignal`]): a check verdict is *harmful* and can demote any
-//! rung, while sanitizer pressure alone is only *suspect* — it demotes
-//! the capability rungs (whose learning loops would otherwise ingest
-//! substituted samples) but holds at [`Rung::FreqOnly`] rather than
-//! taking the terminal park, because a fault the sanitizer is already
-//! containing is no reason to surrender the last knob.
+//! Each demotion steps one rung down after
+//! [`Ladder::DEMOTE_THRESHOLD`] consecutive anomalous intervals (the
+//! terminal step into the safe state demands the longer
+//! [`Ladder::SAFE_DEMOTE_THRESHOLD`] streak) and *doubles* the promotion
+//! hold (exponential backoff, capped at [`Ladder::MAX_HOLD`]), so a
+//! flapping fault settles onto a low rung instead of oscillating.
+//! Promotion climbs one rung at a time and requires `hold` consecutive
+//! clean intervals per step; a long clean streak at the top rung resets
+//! the backoff. The thresholds and holds are the watchdog's, so a ladder
+//! leaves full capability exactly when the parked watchdog would have
+//! engaged. Anomalies are judged by the same counter check the watchdog
+//! uses, widened with sanitizer-reject pressure (new rejects recorded into
+//! the shared [`PolicyStats`] since the previous interval count as
+//! anomalous — the sanitizer's escalation path lands here). The two
+//! sources carry different weight ([`LadderSignal`]): a check verdict is
+//! *harmful* and can demote any rung, while sanitizer pressure alone is
+//! only *suspect* — it demotes the capability rungs (whose learning loops
+//! would otherwise ingest substituted samples) but holds at
+//! [`Rung::FreqOnly`] rather than taking the terminal park, because a fault
+//! the sanitizer is already containing is no reason to surrender the last
+//! knob.
 //!
 //! Rung residency, demotions, and promotions are exported through
 //! [`PolicyStats`]; every shift emits [`TraceEvent::RungShift`], and the
@@ -38,11 +43,8 @@
 //! accounting (chaos tables, trace summaries) reads the ladder's bottom
 //! rung exactly like a parked watchdog.
 
-use crate::governor::stack::{
-    AnomalyCheck, BoxGovernor, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
-};
-use crate::governor::watchdog::{safe_state, CheckConfig, WatchdogConfig};
-use crate::governor::Governor;
+use crate::governor::stack::{AnomalyCheck, DecisionLedger, PolicyStats};
+use crate::governor::{Governor, Watchdog};
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_sim::{CounterSample, KernelProfile};
 use harmonia_types::{HwConfig, Seconds};
@@ -57,7 +59,8 @@ pub enum Rung {
     CgOnly,
     /// Compute-DVFS-only: CU frequency is the single remaining knob.
     FreqOnly,
-    /// Pinned safe state (32 CU @ 500 MHz, memory untouched).
+    /// Pinned safe state (the device's low DPM clock on every CU, memory
+    /// untouched).
     SafeState,
 }
 
@@ -97,42 +100,6 @@ impl Rung {
             Rung::CgOnly => Some(Rung::Full),
             Rung::FreqOnly => Some(Rung::CgOnly),
             Rung::SafeState => Some(Rung::FreqOnly),
-        }
-    }
-}
-
-/// Tuning for the [`Ladder`] state machine. Defaults mirror
-/// [`WatchdogConfig`](super::WatchdogConfig) so a ladder demotes exactly
-/// when the parked watchdog would have engaged.
-#[derive(Debug, Clone, Copy)]
-pub struct LadderConfig {
-    /// Consecutive anomalous intervals before demoting one rung.
-    pub demote_threshold: u32,
-    /// Consecutive anomalous intervals before the *terminal* demotion
-    /// ([`Rung::FreqOnly`] → [`Rung::SafeState`]). The park discards all
-    /// remaining control authority, so it demands a longer streak than the
-    /// intermediate steps — this is what keeps the ladder's safe-state
-    /// residency strictly below a binary watchdog's under faults the
-    /// degraded rungs can ride out.
-    pub safe_demote_threshold: u32,
-    /// Clean intervals required for the first promotion (doubles per
-    /// demotion — exponential backoff).
-    pub base_hold: u64,
-    /// Backoff ceiling for the promotion hold.
-    pub max_hold: u64,
-    /// Consecutive clean intervals at [`Rung::Full`] that reset the
-    /// backoff to `base_hold`.
-    pub clean_reset: u64,
-}
-
-impl Default for LadderConfig {
-    fn default() -> Self {
-        Self {
-            demote_threshold: 3,
-            safe_demote_threshold: 6,
-            base_hold: 4,
-            max_hold: 64,
-            clean_reset: 16,
         }
     }
 }
@@ -177,7 +144,6 @@ pub enum LadderTransition {
 /// wires it to checks, governors, and telemetry.
 #[derive(Debug)]
 pub struct Ladder {
-    config: LadderConfig,
     rung: Rung,
     /// Consecutive anomalous intervals at the current rung.
     streak: u32,
@@ -193,30 +159,44 @@ pub struct Ladder {
     promotions: u64,
 }
 
-impl Ladder {
-    /// A ladder at [`Rung::Full`] with fresh backoff.
-    pub fn new(config: LadderConfig) -> Self {
-        let hold = config.base_hold.max(1);
+/// A ladder at [`Rung::Full`] with fresh backoff.
+impl Default for Ladder {
+    fn default() -> Self {
         Self {
-            config,
             rung: Rung::Full,
             streak: 0,
             clean: 0,
-            hold,
-            required: hold,
+            hold: Self::BASE_HOLD,
+            required: Self::BASE_HOLD,
             demotions: 0,
             promotions: 0,
         }
     }
+}
+
+impl Ladder {
+    /// Consecutive anomalous intervals before demoting one rung: the
+    /// watchdog's engagement threshold.
+    pub const DEMOTE_THRESHOLD: u32 = Watchdog::THRESHOLD;
+    /// Consecutive anomalous intervals before the *terminal* demotion
+    /// ([`Rung::FreqOnly`] → [`Rung::SafeState`]). The park discards all
+    /// remaining control authority, so it demands twice the streak of the
+    /// intermediate steps — this is what keeps the ladder's safe-state
+    /// residency strictly below a binary watchdog's under faults the
+    /// degraded rungs can ride out.
+    pub const SAFE_DEMOTE_THRESHOLD: u32 = 2 * Self::DEMOTE_THRESHOLD;
+    /// Clean intervals required for the first promotion (doubles per
+    /// demotion — exponential backoff): the watchdog's base hold.
+    pub const BASE_HOLD: u64 = Watchdog::BASE_HOLD;
+    /// Backoff ceiling for the promotion hold: the watchdog's.
+    pub const MAX_HOLD: u64 = Watchdog::MAX_HOLD;
+    /// Consecutive clean intervals at [`Rung::Full`] that reset the
+    /// backoff to [`BASE_HOLD`](Self::BASE_HOLD): the watchdog's.
+    pub const CLEAN_RESET: u64 = Watchdog::CLEAN_RESET;
 
     /// The current rung.
     pub fn rung(&self) -> Rung {
         self.rung
-    }
-
-    /// The tuning in effect.
-    pub fn config(&self) -> &LadderConfig {
-        &self.config
     }
 
     /// Clean intervals currently required per promotion step.
@@ -266,9 +246,9 @@ impl Ladder {
             self.clean = 0;
             self.streak += 1;
             let threshold = if self.rung == Rung::FreqOnly {
-                self.config.safe_demote_threshold.max(1)
+                Self::SAFE_DEMOTE_THRESHOLD
             } else {
-                self.config.demote_threshold.max(1)
+                Self::DEMOTE_THRESHOLD
             };
             if self.streak >= threshold {
                 self.streak = 0;
@@ -276,7 +256,7 @@ impl Ladder {
                     let from = self.rung;
                     self.rung = to;
                     self.required = self.hold;
-                    self.hold = (self.hold.saturating_mul(2)).min(self.config.max_hold.max(1));
+                    self.hold = (self.hold.saturating_mul(2)).min(Self::MAX_HOLD);
                     self.demotions += 1;
                     return LadderTransition::Demoted {
                         from,
@@ -290,8 +270,8 @@ impl Ladder {
         self.streak = 0;
         self.clean = self.clean.saturating_add(1);
         if self.rung == Rung::Full {
-            if self.clean >= self.config.clean_reset {
-                self.hold = self.config.base_hold.max(1);
+            if self.clean >= Self::CLEAN_RESET {
+                self.hold = Self::BASE_HOLD;
             }
             return LadderTransition::None;
         }
@@ -307,56 +287,48 @@ impl Ladder {
     }
 }
 
-/// Blueprint for the graceful-degradation decorator. [`layer`] wraps the
-/// inner governor as the [`Rung::Full`] policy; the CG-only and
-/// frequency-only alternates are supplied up front (the registry builds
-/// them from the same predictor).
-///
-/// [`layer`]: GovernorLayer::layer
-pub struct DegradeLayer<'a> {
-    config: LadderConfig,
-    check_config: CheckConfig,
-    cg: BoxGovernor<'a>,
-    freq: BoxGovernor<'a>,
+/// The graceful-degradation decorator: routes decisions to the active
+/// rung's governor and walks the [`Ladder`] on every observation.
+pub struct DegradeGovernor<G> {
+    full: G,
+    cg: G,
+    freq: G,
     safe: HwConfig,
-    ledger: DecisionLedger,
+    ladder: Ladder,
+    check: AnomalyCheck<'static>,
     stats: PolicyStats,
+    /// Sanitizer reject total at the previous observation, for the
+    /// new-rejects-this-interval pressure signal.
+    last_rejects: u64,
+    trace: TraceHandle,
 }
 
-impl<'a> DegradeLayer<'a> {
-    /// A ladder stepping down from the (future) inner governor through
-    /// `cg` and `freq` to the standard safe state.
-    pub fn new(config: LadderConfig, cg: BoxGovernor<'a>, freq: BoxGovernor<'a>) -> Self {
+impl<G: Governor> DegradeGovernor<G> {
+    /// A ladder stepping down from `full` through `cg` and `freq` to
+    /// `safe`, the device's safe state. Its counter check judges achieved
+    /// bandwidth against `max_bw_gbps`, the device's ceiling
+    /// ([`max_bw_gbps_on`](crate::sanitize::max_bw_gbps_on)), and what ran
+    /// against what the enclosing clamp granted (its `ledger`, see
+    /// [`CappedGovernor::checked`](super::CappedGovernor::checked)).
+    pub fn new(
+        full: G,
+        cg: G,
+        freq: G,
+        safe: HwConfig,
+        max_bw_gbps: f64,
+        ledger: DecisionLedger,
+    ) -> Self {
         Self {
-            config,
-            check_config: CheckConfig {
-                check_actuation: true,
-                ..WatchdogConfig::default().check
-            },
+            full,
             cg,
             freq,
-            safe: safe_state(),
-            ledger: DecisionLedger::new(),
+            safe,
+            ladder: Ladder::default(),
+            check: AnomalyCheck::counters(max_bw_gbps, Some(ledger)),
             stats: PolicyStats::new(),
+            last_rejects: 0,
+            trace: TraceHandle::disabled(),
         }
-    }
-
-    /// Overrides the tuning of the ladder's counter check
-    /// ([`CounterCheck`](crate::governor::CounterCheck)); the ladder checks
-    /// actuation by default. Hold lengths come from the [`LadderConfig`],
-    /// and the terminal rung's configuration from
-    /// [`with_safe_state`](Self::with_safe_state).
-    pub fn with_check_config(mut self, check_config: CheckConfig) -> Self {
-        self.check_config = check_config;
-        self
-    }
-
-    /// Overrides the terminal rung's pinned configuration (e.g. a catalog
-    /// device's [`DeviceSpec::safe_state`](harmonia_types::DeviceSpec::safe_state)
-    /// instead of the HD7970 default).
-    pub fn with_safe_state(mut self, safe: HwConfig) -> Self {
-        self.safe = safe;
-        self
     }
 
     /// Shares `stats` so rung residency/demotions/promotions and fallback
@@ -366,53 +338,8 @@ impl<'a> DegradeLayer<'a> {
         self
     }
 
-    /// The ledger this layer's decisions are recorded in; hand it to an
-    /// outer [`CappedGovernor`](super::CappedGovernor) so the post-clamp
-    /// grant is what the actuation check compares against.
-    pub fn ledger(&self) -> DecisionLedger {
-        self.ledger.clone()
-    }
-}
-
-impl<'a> GovernorLayer<'a> for DegradeLayer<'a> {
-    fn layer(self, inner: BoxGovernor<'a>) -> BoxGovernor<'a> {
-        Box::new(DegradeGovernor {
-            full: inner,
-            cg: self.cg,
-            freq: self.freq,
-            safe: self.safe,
-            ladder: Ladder::new(self.config),
-            check: CounterCheck::new(),
-            check_config: self.check_config,
-            ledger: self.ledger,
-            stats: self.stats,
-            last_rejects: 0,
-            trace: TraceHandle::disabled(),
-        })
-    }
-}
-
-/// The decorator produced by [`DegradeLayer`]: routes decisions to the
-/// active rung's governor and walks the [`Ladder`] on every observation.
-pub struct DegradeGovernor<'a> {
-    full: BoxGovernor<'a>,
-    cg: BoxGovernor<'a>,
-    freq: BoxGovernor<'a>,
-    safe: HwConfig,
-    ladder: Ladder,
-    check: CounterCheck,
-    check_config: CheckConfig,
-    ledger: DecisionLedger,
-    stats: PolicyStats,
-    /// Sanitizer reject total at the previous observation, for the
-    /// new-rejects-this-interval pressure signal.
-    last_rejects: u64,
-    trace: TraceHandle,
-}
-
-impl DegradeGovernor<'_> {
     /// The governor owning the given rung, or `None` at the safe state.
-    fn rung_governor(&mut self, rung: Rung) -> Option<&mut dyn Governor> {
+    fn rung_governor(&mut self, rung: Rung) -> Option<&mut G> {
         match rung {
             Rung::Full => Some(&mut self.full),
             Rung::CgOnly => Some(&mut self.cg),
@@ -420,17 +347,12 @@ impl DegradeGovernor<'_> {
             Rung::SafeState => None,
         }
     }
-
-    /// The current rung (tests, reports).
-    pub fn rung(&self) -> Rung {
-        self.ladder.rung()
-    }
 }
 
-impl Governor for DegradeGovernor<'_> {
+impl<G: Governor> Governor for DegradeGovernor<G> {
     fn name(&self) -> &str {
         // Name-transparent to the Full-rung policy, like every other
-        // layer: reports keep the inner governor's identity.
+        // decorator: reports keep the inner governor's identity.
         self.full.name()
     }
 
@@ -443,12 +365,10 @@ impl Governor for DegradeGovernor<'_> {
 
     fn decide(&mut self, kernel: &KernelProfile, iteration: u64) -> HwConfig {
         let safe = self.safe;
-        let cfg = match self.rung_governor(self.ladder.rung()) {
+        match self.rung_governor(self.ladder.rung()) {
             Some(g) => g.decide(kernel, iteration),
             None => safe,
-        };
-        self.ledger.grant(&kernel.name, cfg);
-        cfg
+        }
     }
 
     fn condition(
@@ -475,15 +395,7 @@ impl Governor for DegradeGovernor<'_> {
         let rung_before = self.ladder.rung();
         self.stats.count_rung_residency(rung_before.index());
         let engaged_before = rung_before == Rung::SafeState;
-        let granted = self.ledger.granted(&kernel.name);
-        let verdict = self.check.verdict(
-            kernel,
-            cfg,
-            counters,
-            &self.check_config,
-            granted,
-            engaged_before,
-        );
+        let verdict = self.check.verdict(kernel, cfg, counters, engaged_before);
         // Sanitizer pressure: rejects recorded into the shared stats since
         // the last interval mean the conditioned sample we just saw was
         // (partly) substituted — the counters are lying even though the
@@ -522,7 +434,7 @@ impl Governor for DegradeGovernor<'_> {
                 if to == Rung::SafeState {
                     // The bottom rung is the watchdog's park: reuse its
                     // event pair so safe-residency accounting is uniform.
-                    self.stats.count_fallback_engagement();
+                    self.stats.engage_fallback();
                     let safe = self.safe;
                     self.trace.emit(|| TraceEvent::FallbackEngaged {
                         kernel: kernel.name.to_string(),
@@ -542,6 +454,7 @@ impl Governor for DegradeGovernor<'_> {
                     hold: 0,
                 });
                 if from == Rung::SafeState {
+                    self.stats.release_fallback();
                     self.trace.emit(|| TraceEvent::FallbackReleased {
                         kernel: kernel.name.to_string(),
                         iteration,
@@ -567,10 +480,13 @@ impl Governor for DegradeGovernor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::BaselineGovernor;
+    use crate::governor::{BaselineGovernor, CappedGovernor};
+    use crate::sanitize::DEFAULT_MAX_BW_GBPS;
+    use harmonia_power::PowerModel;
+    use harmonia_types::{DeviceSpec, Watts};
 
     fn ladder() -> Ladder {
-        Ladder::new(LadderConfig::default())
+        Ladder::default()
     }
 
     fn drive(l: &mut Ladder, anomalous: bool, n: u64) {
@@ -717,27 +633,35 @@ mod tests {
 
     #[test]
     fn degrade_governor_routes_decisions_by_rung() {
+        let device = DeviceSpec::lookup("hd7970").expect("catalog device");
+        let power = PowerModel::for_device(&device);
+        let safe = device.safe_state();
         let stats = PolicyStats::new();
-        let mut g = DegradeLayer::new(
-            LadderConfig::default(),
-            Box::new(BaselineGovernor::new()),
-            Box::new(BaselineGovernor::new()),
-        )
-        .with_stats(&stats)
-        .layer(Box::new(BaselineGovernor::new()));
+        // Under a clamp too generous to bind, which only hands the ladder
+        // its ledger.
+        let mut g = CappedGovernor::checked(
+            |ledger| {
+                let baseline = BaselineGovernor::new;
+                let (full, cg, freq) = (baseline(), baseline(), baseline());
+                DegradeGovernor::new(full, cg, freq, safe, DEFAULT_MAX_BW_GBPS, ledger)
+                    .with_stats(&stats)
+            },
+            &power,
+            Watts(1000.0),
+        );
         let k = KernelProfile::builder("k").build();
-        let garbage = CounterSample {
+        // A failed read: the timer ran, every dynamic counter is zero.
+        let dead = CounterSample {
             duration: Seconds(0.01),
-            valu_busy_pct: f64::NAN,
             ..CounterSample::default()
         };
         // Drive all the way down: 3 + 3 anomalies through the intermediate
         // rungs, then the doubled terminal streak of 6.
         for i in 0..12 {
             let cfg = g.decide(&k, i);
-            g.observe(&k, i, cfg, &garbage);
+            g.observe(&k, i, cfg, &dead);
         }
-        assert_eq!(g.decide(&k, 12), safe_state());
+        assert_eq!(g.decide(&k, 12), safe);
         assert_eq!(stats.rung_demotions(), 3);
         assert_eq!(stats.fallback_engagements(), 1, "bottom rung counts as park");
         let residency = stats.rung_residency();

@@ -16,12 +16,14 @@
 //!   minimization over all ~450 configurations ("impractical to implement",
 //!   but the paper's upper bound).
 //!
-//! Cross-cutting concerns — safe-state watchdogs, the graceful-degradation
-//! ladder ([`DegradeLayer`]), counter sanitization — are *not* baked into
-//! the governors. They are [`GovernorLayer`] decorators composed into a
-//! stack, and named stacks are built from one place by the [`PolicySpec`]
-//! registry. Every layer emits into the one [`TraceHandle`] the runtime
-//! installs through [`Governor::set_trace`].
+//! Cross-cutting concerns — the power-cap clamp ([`CappedGovernor`]),
+//! safe-state watchdogs ([`WatchdogGovernor`]), the graceful-degradation
+//! ladder ([`DegradeGovernor`]), counter sanitization
+//! ([`SanitizeGovernor`]) — are *not* baked into the governors. Each is a
+//! decorator built by a constructor that takes its inner governor, and
+//! named stacks are built from one place by the [`PolicySpec`] registry.
+//! Every decorator emits into the one [`TraceHandle`] the runtime installs
+//! through [`Governor::set_trace`].
 
 mod baseline;
 mod capped;
@@ -41,17 +43,12 @@ pub use capped::CappedGovernor;
 pub use coarse::{CoarseGrain, SensitivityBins};
 pub use fine::{FgState, FineGrain};
 pub use harmonia::{HarmoniaConfig, HarmoniaGovernor};
-pub use ladder::{
-    DegradeGovernor, DegradeLayer, Ladder, LadderConfig, LadderSignal, LadderTransition, Rung,
-};
+pub use ladder::{DegradeGovernor, Ladder, LadderSignal, LadderTransition, Rung};
 pub use oracle::{Ed2Objective, OracleGovernor, PowerAffine, PowerTable};
 pub use powertune::PowerTuneGovernor;
 pub use registry::{Policy, PolicyResources, PolicySpec, DEFAULT_CAP};
-pub use stack::{
-    AnomalyCheck, BoxGovernor, CapCheck, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
-    SanitizeLayer, WatchdogLayer,
-};
-pub use watchdog::{safe_state, CheckConfig, Watchdog, WatchdogConfig, WatchdogTransition};
+pub use stack::{BoxGovernor, DecisionLedger, PolicyStats, SanitizeGovernor};
+pub use watchdog::{Watchdog, WatchdogGovernor, WatchdogTransition};
 
 use crate::telemetry::TraceHandle;
 use harmonia_sim::{CounterSample, KernelProfile};
@@ -124,8 +121,8 @@ pub trait Governor {
     /// Conditions the raw measurement of the invocation that just ran,
     /// *before* the runtime accounts power/energy from it and before
     /// [`observe`](Governor::observe) sees it. The default is the identity:
-    /// governors trust their inputs unless a [`SanitizeLayer`] is stacked
-    /// on top, which overrides this to substitute implausible readings.
+    /// governors trust their inputs unless wrapped in a [`SanitizeGovernor`],
+    /// which overrides this to substitute implausible readings.
     fn condition(
         &mut self,
         _kernel: &KernelProfile,

@@ -25,23 +25,21 @@
 //! the boxed stack plus a [`PolicyStats`] handle that stays readable after
 //! the governor is boxed.
 //!
-//! Behaviour note: each built stack owns its hardening state (sanitizer
-//! history, watchdog backoff), exactly like the pre-stack code built fresh
-//! shims per run — build one `Policy` per run and the bytes match.
+//! Each built stack owns its hardening state (sanitizer history, watchdog
+//! backoff, ladder rung): build one `Policy` per run. The hardening takes
+//! two values from the device, its safe state and its achieved-bandwidth
+//! ceiling; every other threshold and hold is a named constant.
 
-use crate::governor::ladder::{DegradeLayer, LadderConfig};
-use crate::governor::stack::{
-    BoxGovernor, GovernorLayer, PolicyStats, SanitizeLayer, WatchdogLayer,
-};
 use crate::governor::{
-    BaselineGovernor, CappedGovernor, CheckConfig, HarmoniaConfig, HarmoniaGovernor,
-    OracleGovernor, PowerTuneGovernor, WatchdogConfig,
+    BaselineGovernor, BoxGovernor, CappedGovernor, DegradeGovernor, HarmoniaConfig,
+    HarmoniaGovernor, OracleGovernor, PolicyStats, PowerTuneGovernor, SanitizeGovernor,
+    WatchdogGovernor,
 };
 use crate::predictor::SensitivityPredictor;
-use crate::sanitize::{self, SanitizerConfig};
+use crate::sanitize;
 use harmonia_power::PowerModel;
 use harmonia_sim::TimingModel;
-use harmonia_types::{DeviceSpec, GridSpec, Watts};
+use harmonia_types::{DeviceSpec, Watts};
 use std::fmt;
 use std::str::FromStr;
 
@@ -202,8 +200,17 @@ impl PolicySpec {
     pub fn build<'a>(&self, res: &PolicyResources<'a>) -> Policy<'a> {
         let stats = PolicyStats::new();
         let grid = *res.device.grid();
+        let safe = res.device.safe_state();
+        let max_bw_gbps = sanitize::max_bw_gbps_on(&grid);
         let harmonia =
             |config: HarmoniaConfig| HarmoniaGovernor::with_config(res.predictor.clone(), config.on_grid(grid));
+        // The shared hardened core: sanitize → counter watchdog → Harmonia.
+        let hardened = || {
+            let sanitized = SanitizeGovernor::new(harmonia(HarmoniaConfig::default()), max_bw_gbps)
+                .with_power(res.power)
+                .with_stats(&stats);
+            WatchdogGovernor::counters(sanitized, safe, max_bw_gbps).with_stats(&stats)
+        };
         let governor: BoxGovernor<'a> = match *self {
             Self::Baseline => Box::new(BaselineGovernor::on_grid(grid)),
             Self::Cg => Box::new(harmonia(HarmoniaConfig::cg_only())),
@@ -215,88 +222,50 @@ impl PolicySpec {
                 CappedGovernor::new(harmonia(HarmoniaConfig::default()), res.power, cap)
                     .with_stats(&stats),
             ),
-            Self::HardenedHarmonia => hardened_core(res, &stats),
-            Self::HardenedCapped(cap) => {
-                // The cap watchdog sits between the clamp and the counter
-                // watchdog: it judges post-clamp grants (actuation check
-                // against the shared ledger) while the counter watchdog
-                // quarantines suspect samples before Harmonia learns from
-                // them.
-                let guarded = hardened_core(res, &stats);
-                let mut config = WatchdogConfig {
-                    safe: res.device.safe_state(),
-                    ..WatchdogConfig::default()
-                };
-                config.check.check_actuation = true;
-                let cap_layer = WatchdogLayer::cap(config, res.power, cap, &stats);
-                let ledger = cap_layer.ledger();
-                Box::new(
-                    CappedGovernor::new(cap_layer.layer(guarded), res.power, cap)
-                        .with_stats(&stats)
-                        .with_ledger(ledger),
+            Self::HardenedHarmonia => Box::new(hardened()),
+            // The cap watchdog sits between the clamp and the counter
+            // watchdog: it judges post-clamp grants (actuation against the
+            // clamp's ledger) while the counter watchdog quarantines suspect
+            // samples before Harmonia learns from them.
+            Self::HardenedCapped(cap) => Box::new(
+                CappedGovernor::checked(
+                    |ledger| {
+                        WatchdogGovernor::cap(hardened(), safe, res.power, cap, ledger)
+                            .with_stats(&stats)
+                    },
+                    res.power,
+                    cap,
                 )
-            }
-            Self::HardenedLadder(cap) => {
-                // Sanitize sits *outside* the ladder so measurements are
-                // conditioned on every rung; the ladder's own CounterCheck
-                // (plus sanitizer-reject pressure through the shared stats)
-                // drives demotion. The outer clamp grants post-clamp
-                // configurations into the ladder's ledger so its actuation
-                // check compares against what was actually granted.
-                let degrade = DegradeLayer::new(
-                    LadderConfig::default(),
-                    Box::new(harmonia(HarmoniaConfig::cg_only())),
-                    Box::new(harmonia(HarmoniaConfig::freq_only())),
+                .with_stats(&stats),
+            ),
+            // Sanitize sits *outside* the ladder so measurements are
+            // conditioned on every rung; the ladder's own counter check
+            // (plus sanitizer-reject pressure through the shared stats)
+            // drives demotion, and checks actuation against the clamp's
+            // ledger.
+            Self::HardenedLadder(cap) => Box::new(
+                CappedGovernor::checked(
+                    |ledger| {
+                        let ladder = DegradeGovernor::new(
+                            harmonia(HarmoniaConfig::default()),
+                            harmonia(HarmoniaConfig::cg_only()),
+                            harmonia(HarmoniaConfig::freq_only()),
+                            safe,
+                            max_bw_gbps,
+                            ledger,
+                        )
+                        .with_stats(&stats);
+                        SanitizeGovernor::new(ladder, max_bw_gbps)
+                            .with_power(res.power)
+                            .with_stats(&stats)
+                    },
+                    res.power,
+                    cap,
                 )
-                .with_check_config(CheckConfig {
-                    check_actuation: true,
-                    max_bw_gbps: sanitize::max_bw_gbps_on(&grid),
-                    ..WatchdogConfig::default().check
-                })
-                .with_safe_state(res.device.safe_state())
-                .with_stats(&stats);
-                let ledger = degrade.ledger();
-                let core = degrade.layer(Box::new(harmonia(HarmoniaConfig::default())));
-                let sanitized = SanitizeLayer::new(sanitizer_config(&grid))
-                    .with_stats(&stats)
-                    .with_power(res.power)
-                    .layer(core);
-                Box::new(
-                    CappedGovernor::new(sanitized, res.power, cap)
-                        .with_stats(&stats)
-                        .with_ledger(ledger),
-                )
-            }
+                .with_stats(&stats),
+            ),
         };
         Policy { governor, stats }
-    }
-}
-
-/// The shared hardened core: sanitize → counter watchdog → Harmonia.
-fn hardened_core<'a>(res: &PolicyResources<'a>, stats: &PolicyStats) -> BoxGovernor<'a> {
-    let grid = *res.device.grid();
-    let sanitized = SanitizeLayer::new(sanitizer_config(&grid))
-        .with_stats(stats)
-        .with_power(res.power)
-        .layer(Box::new(HarmoniaGovernor::with_config(
-            res.predictor.clone(),
-            HarmoniaConfig::default().on_grid(grid),
-        )));
-    let mut config = WatchdogConfig {
-        safe: res.device.safe_state(),
-        ..WatchdogConfig::default()
-    };
-    config.check.max_bw_gbps = sanitize::max_bw_gbps_on(&grid);
-    WatchdogLayer::counters(config)
-        .with_stats(stats)
-        .layer(sanitized)
-}
-
-/// The default sanitizer tuning with the bandwidth ceiling of `grid`'s bus.
-fn sanitizer_config(grid: &GridSpec) -> SanitizerConfig {
-    SanitizerConfig {
-        max_bw_gbps: sanitize::max_bw_gbps_on(grid),
-        ..SanitizerConfig::default()
     }
 }
 
@@ -507,7 +476,7 @@ mod tests {
             assert!(policy.stats.sanitizer_rejects() > 0);
             assert_ne!(
                 governor.decide(&k, 3),
-                crate::governor::safe_state(),
+                res.device().safe_state(),
                 "cg-only rung still governs"
             );
         });

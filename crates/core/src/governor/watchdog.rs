@@ -1,4 +1,4 @@
-//! Safe-state fallback watchdog shared by the hardened governors.
+//! Safe-state fallback: the all-or-nothing hardening decorator.
 //!
 //! Real governor firmware (AMD PowerTune, NVIDIA's power capping) never
 //! trusts its own inputs unconditionally: when telemetry goes implausible
@@ -7,93 +7,29 @@
 //! module reproduces that discipline for the simulated stack:
 //!
 //! * [`Watchdog::tick`] consumes one anomaly verdict per observation
-//!   interval. After [`WatchdogConfig::threshold`] *consecutive* anomalous
+//!   interval. After [`Watchdog::THRESHOLD`] *consecutive* anomalous
 //!   intervals it engages: decisions pin to the safe state for a hold
 //!   period, after which normal governing resumes.
 //! * Each engagement doubles the next hold (exponential backoff, capped at
-//!   [`WatchdogConfig::max_hold`]); a sustained clean streak resets the
+//!   [`Watchdog::MAX_HOLD`]); a sustained clean streak resets the
 //!   backoff to its base.
 //!
-//! What counts as "anomalous" is the governor's business —
-//! [`HarmoniaGovernor`](crate::governor::HarmoniaGovernor) feeds counter
-//! plausibility and throughput collapse, while
-//! [`CappedGovernor`](crate::governor::CappedGovernor) feeds cap-violation
-//! and actuation-mismatch verdicts. The safe state itself mirrors
-//! [`PowerTuneGovernor`](crate::governor::PowerTuneGovernor)'s DPM table:
-//! all compute units at a low DPM clock with the memory bus untouched.
+//! [`WatchdogGovernor`] wires the state machine to an anomaly check, the
+//! inner governor and telemetry. Its counter check judges counter
+//! plausibility and throughput collapse; its cap check judges cap
+//! violations and granted-vs-ran actuation mismatches. The safe state is
+//! the governed device's
+//! [`DeviceSpec::safe_state`](harmonia_types::DeviceSpec::safe_state),
+//! which mirrors [`PowerTuneGovernor`](crate::governor::PowerTuneGovernor)'s
+//! DPM table: all compute units at a low DPM clock with the memory bus
+//! untouched.
 
-use crate::sanitize::DEFAULT_MAX_BW_GBPS;
-use harmonia_types::{ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig};
-
-/// The safe PowerTune-equivalent state fallback decisions pin to: all 32
-/// CUs at the 500 MHz DPM clock, memory at full speed. Matching the DPM
-/// table keeps the fallback a state real firmware could actually enter.
-///
-/// This is the HD7970 instance; governors built for another catalog device
-/// set [`WatchdogConfig::safe`] from
-/// [`DeviceSpec::safe_state`](harmonia_types::DeviceSpec::safe_state),
-/// which derives the equivalent mid-ladder DPM state on that device's grid.
-pub fn safe_state() -> HwConfig {
-    HwConfig::new(
-        ComputeConfig::new_on(&GridSpec::HD7970, 32, MegaHertz(500))
-            .expect("DPM state is on the grid"),
-        MemoryConfig::max_hd7970(),
-    )
-}
-
-/// What an [`AnomalyCheck`](crate::governor::AnomalyCheck) reads of its
-/// tuning. A [`WatchdogLayer`](crate::governor::WatchdogLayer) takes it
-/// inside its [`WatchdogConfig`]; a
-/// [`DegradeLayer`](crate::governor::DegradeLayer) takes it alone, since
-/// the ladder's hold lengths and terminal state are its own.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckConfig {
-    /// Whether the observed configuration is checked against the decided
-    /// one. Leave off for governors whose decisions are legitimately
-    /// overridden downstream (e.g. wrapped by a power-cap decorator).
-    pub check_actuation: bool,
-    /// Throughput-collapse ratio: an interval whose VALU rate falls below
-    /// `collapse_ratio × peak` is anomalous. Zero disables the check.
-    pub collapse_ratio: f64,
-    /// Achieved-bandwidth ceiling (GB/s) of the counter-plausibility check:
-    /// the governed device's bus plus margin
-    /// ([`max_bw_gbps_on`](crate::sanitize::max_bw_gbps_on)).
-    pub max_bw_gbps: f64,
-}
-
-/// Tuning for a [`Watchdog`] and the anomaly check it drives.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Consecutive anomalous intervals before fallback engages.
-    pub threshold: u32,
-    /// Intervals the first engagement holds the safe state.
-    pub base_hold: u64,
-    /// Backoff ceiling for the hold length.
-    pub max_hold: u64,
-    /// Consecutive clean (disengaged) intervals that reset the backoff.
-    pub clean_reset: u32,
-    /// The configuration decisions pin to while engaged.
-    pub safe: HwConfig,
-    /// What the anomaly check reads.
-    pub check: CheckConfig,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 3,
-            base_hold: 4,
-            max_hold: 64,
-            clean_reset: 16,
-            safe: safe_state(),
-            check: CheckConfig {
-                check_actuation: false,
-                collapse_ratio: 0.02,
-                max_bw_gbps: DEFAULT_MAX_BW_GBPS,
-            },
-        }
-    }
-}
+use crate::governor::stack::{AnomalyCheck, DecisionLedger, PolicyStats};
+use crate::governor::Governor;
+use crate::telemetry::{TraceEvent, TraceHandle};
+use harmonia_power::PowerModel;
+use harmonia_sim::{CounterSample, KernelProfile};
+use harmonia_types::{HwConfig, Seconds, Watts};
 
 /// What a [`Watchdog::tick`] changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,27 +46,34 @@ pub enum WatchdogTransition {
 /// backoff (see module docs).
 #[derive(Debug, Clone)]
 pub struct Watchdog {
-    config: WatchdogConfig,
+    safe: HwConfig,
     streak: u32,
-    clean: u32,
+    clean: u64,
     engaged: bool,
     hold: u64,
     remaining: u64,
-    engagements: u64,
 }
 
 impl Watchdog {
-    /// A disengaged watchdog with the base hold.
-    pub fn new(config: WatchdogConfig) -> Self {
-        let hold = config.base_hold.max(1);
+    /// Consecutive anomalous intervals before fallback engages.
+    pub const THRESHOLD: u32 = 3;
+    /// Intervals the first engagement holds the safe state.
+    pub const BASE_HOLD: u64 = 4;
+    /// Backoff ceiling for the hold length.
+    pub const MAX_HOLD: u64 = 64;
+    /// Consecutive clean (disengaged) intervals that reset the backoff.
+    pub const CLEAN_RESET: u64 = 16;
+
+    /// A disengaged watchdog with the base hold, pinning `safe` while
+    /// engaged.
+    pub fn new(safe: HwConfig) -> Self {
         Self {
-            config,
+            safe,
             streak: 0,
             clean: 0,
             engaged: false,
-            hold,
+            hold: Self::BASE_HOLD,
             remaining: 0,
-            engagements: 0,
         }
     }
 
@@ -141,17 +84,7 @@ impl Watchdog {
 
     /// The safe state decisions pin to while engaged.
     pub fn safe(&self) -> HwConfig {
-        self.config.safe
-    }
-
-    /// The configured tuning.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
-    }
-
-    /// Total fallback engagements so far.
-    pub fn engagements(&self) -> u64 {
-        self.engagements
+        self.safe
     }
 
     /// The hold length (intervals) the *next* engagement would use; while
@@ -182,46 +115,220 @@ impl Watchdog {
         if anomalous {
             self.clean = 0;
             self.streak += 1;
-            if self.streak >= self.config.threshold {
+            if self.streak >= Self::THRESHOLD {
                 self.engaged = true;
                 self.streak = 0;
                 self.remaining = self.hold;
-                self.hold = (self.hold * 2).min(self.config.max_hold.max(1));
-                self.engagements += 1;
+                self.hold = (self.hold * 2).min(Self::MAX_HOLD);
                 return WatchdogTransition::Engaged;
             }
         } else {
             self.streak = 0;
             self.clean = self.clean.saturating_add(1);
-            if self.clean >= self.config.clean_reset {
-                self.hold = self.config.base_hold.max(1);
+            if self.clean >= Self::CLEAN_RESET {
+                self.hold = Self::BASE_HOLD;
             }
         }
         WatchdogTransition::None
     }
 }
 
+/// The safe-state fallback decorator: one [`Watchdog`] driven by one
+/// anomaly check. While engaged, decisions pin to the safe state and the
+/// inner governor's `decide` is bypassed; the counter check also withholds
+/// tainted samples from the inner governor's learning loops.
+pub struct WatchdogGovernor<'a, G> {
+    inner: G,
+    watchdog: Watchdog,
+    check: AnomalyCheck<'a>,
+    stats: PolicyStats,
+    trace: TraceHandle,
+}
+
+impl<'a, G: Governor> WatchdogGovernor<'a, G> {
+    /// The counter-plausibility watchdog over `inner`: implausible counters
+    /// (achieved bandwidth above `max_bw_gbps`, the device's ceiling from
+    /// [`max_bw_gbps_on`](crate::sanitize::max_bw_gbps_on)), dead samples
+    /// and throughput collapses count as anomalous intervals, and suspect
+    /// samples never reach the inner learning loops. Engaging pins `safe`.
+    pub fn counters(inner: G, safe: HwConfig, max_bw_gbps: f64) -> Self {
+        Self::with_check(inner, safe, AnomalyCheck::counters(max_bw_gbps, None))
+    }
+
+    /// The power-envelope watchdog over `inner`: cap-violation streaks
+    /// under `power`'s projection and mismatches between what ran and what
+    /// the enclosing clamp granted (its `ledger`, see
+    /// [`CappedGovernor::checked`](super::CappedGovernor::checked)) count
+    /// as anomalous intervals; the inner governor still observes every
+    /// sample. Engaging pins `safe`.
+    pub fn cap(
+        inner: G,
+        safe: HwConfig,
+        power: &'a PowerModel,
+        cap: Watts,
+        ledger: DecisionLedger,
+    ) -> Self {
+        Self::with_check(inner, safe, AnomalyCheck::Cap { power, cap, ledger })
+    }
+
+    fn with_check(inner: G, safe: HwConfig, check: AnomalyCheck<'a>) -> Self {
+        Self {
+            inner,
+            watchdog: Watchdog::new(safe),
+            check,
+            stats: PolicyStats::new(),
+            trace: TraceHandle::disabled(),
+        }
+    }
+
+    /// Shares `stats` so fallback engagements are counted into an external
+    /// handle (registry-built stacks report through
+    /// [`Policy::stats`](super::Policy)).
+    pub fn with_stats(mut self, stats: &PolicyStats) -> Self {
+        self.stats = stats.clone();
+        self
+    }
+}
+
+impl<G: Governor> Governor for WatchdogGovernor<'_, G> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn set_trace(&mut self, trace: TraceHandle) {
+        self.trace = trace.clone();
+        self.inner.set_trace(trace);
+    }
+
+    fn decide(&mut self, kernel: &KernelProfile, iteration: u64) -> HwConfig {
+        // While fallback is engaged the inner policy is bypassed entirely.
+        if self.watchdog.engaged() {
+            self.watchdog.safe()
+        } else {
+            self.inner.decide(kernel, iteration)
+        }
+    }
+
+    fn condition(
+        &mut self,
+        kernel: &KernelProfile,
+        iteration: u64,
+        cfg: HwConfig,
+        time: Seconds,
+        counters: CounterSample,
+    ) -> (Seconds, CounterSample) {
+        self.inner.condition(kernel, iteration, cfg, time, counters)
+    }
+
+    fn observe(
+        &mut self,
+        kernel: &KernelProfile,
+        iteration: u64,
+        cfg: HwConfig,
+        counters: &CounterSample,
+    ) {
+        let engaged_before = self.watchdog.engaged();
+        let what = self.check.verdict(kernel, cfg, counters, engaged_before);
+        if let Some(what) = what {
+            self.trace.emit(|| TraceEvent::FaultDetected {
+                kernel: kernel.name.to_string(),
+                iteration,
+                what: what.to_string(),
+            });
+        }
+        match self.watchdog.tick(what.is_some()) {
+            WatchdogTransition::Engaged => {
+                self.stats.engage_fallback();
+                let safe = self.watchdog.safe();
+                let hold = self.watchdog.hold();
+                self.trace.emit(|| TraceEvent::FallbackEngaged {
+                    kernel: kernel.name.to_string(),
+                    iteration,
+                    safe: safe.into(),
+                    hold,
+                });
+            }
+            WatchdogTransition::Released => {
+                self.stats.release_fallback();
+                self.trace.emit(|| TraceEvent::FallbackReleased {
+                    kernel: kernel.name.to_string(),
+                    iteration,
+                });
+            }
+            WatchdogTransition::None => {}
+        }
+        // Quarantine: an anomalous sample is garbage, and one observed
+        // while (or just before) fallback was engaged was produced under
+        // the pinned safe state — neither may reach the learning loops.
+        if self.check.quarantines() && (engaged_before || what.is_some()) {
+            return;
+        }
+        self.inner.observe(kernel, iteration, cfg, counters);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::BaselineGovernor;
+    use crate::sanitize::DEFAULT_MAX_BW_GBPS;
+    use harmonia_types::{ComputeConfig, DeviceSpec, GridSpec, MegaHertz, MemoryConfig};
+
+    /// The HD7970's safe state: 32 CUs at the 500 MHz DPM clock.
+    fn safe() -> HwConfig {
+        DeviceSpec::lookup("hd7970")
+            .expect("catalog device")
+            .safe_state()
+    }
 
     fn wd() -> Watchdog {
-        Watchdog::new(WatchdogConfig::default())
+        Watchdog::new(safe())
+    }
+
+    fn garbage() -> CounterSample {
+        CounterSample {
+            duration: Seconds(0.01),
+            valu_busy_pct: f64::NAN,
+            ..CounterSample::default()
+        }
+    }
+
+    fn clean() -> CounterSample {
+        CounterSample {
+            duration: Seconds(0.01),
+            valu_busy_pct: 60.0,
+            valu_utilization_pct: 90.0,
+            mem_unit_busy_pct: 30.0,
+            ic_activity: 0.4,
+            norm_vgpr: 0.4,
+            norm_sgpr: 0.3,
+            valu_insts: 1_000_000,
+            dram_bytes: 1e7,
+            achieved_bw_gbps: 80.0,
+            occupancy_fraction: 0.8,
+            l2_hit_rate: 0.5,
+            ..CounterSample::default()
+        }
     }
 
     #[test]
     fn safe_state_is_a_valid_grid_point() {
-        assert!(harmonia_types::ConfigSpace::hd7970().contains(safe_state()));
-        assert_eq!(safe_state().compute.cu_count(), 32);
-        assert_eq!(safe_state().compute.freq().value(), 500);
+        assert!(harmonia_types::ConfigSpace::for_grid(&GridSpec::HD7970).contains(safe()));
+        assert_eq!(safe().compute.cu_count(), 32);
+        assert_eq!(safe().compute.freq().value(), 500);
     }
 
     #[test]
     fn device_safe_states_match_the_hd7970_convention() {
-        use harmonia_types::DeviceSpec;
-        // The catalog's hd7970 safe state is the same config as the legacy
-        // free function, and every device's safe state sits on its own grid.
-        assert_eq!(DeviceSpec::hd7970().safe_state(), safe_state());
+        // The catalog's hd7970 safe state is PowerTune's DPM state (32 CUs
+        // at 500 MHz, memory at full speed), and every device's safe state
+        // sits on its own grid.
+        let dpm = HwConfig::new(
+            ComputeConfig::new_on(&GridSpec::HD7970, 32, MegaHertz(500))
+                .expect("DPM state is on the grid"),
+            MemoryConfig::max_on(&GridSpec::HD7970),
+        );
+        assert_eq!(safe(), dpm);
         for name in DeviceSpec::catalog() {
             let spec = DeviceSpec::lookup(name).expect(name);
             let safe = spec.safe_state();
@@ -255,7 +362,7 @@ mod tests {
             w.tick(true);
         }
         assert!(w.engaged());
-        // base_hold = 4: three more ticks stay engaged, the fourth releases.
+        // BASE_HOLD = 4: three more ticks stay engaged, the fourth releases.
         assert_eq!(w.tick(true), WatchdogTransition::None);
         assert_eq!(w.tick(false), WatchdogTransition::None);
         assert_eq!(w.tick(false), WatchdogTransition::None);
@@ -291,19 +398,48 @@ mod tests {
 
     #[test]
     fn backoff_caps_at_max_hold() {
-        let mut w = Watchdog::new(WatchdogConfig {
-            max_hold: 8,
-            ..WatchdogConfig::default()
-        });
+        let mut w = wd();
+        let mut engagements = 0;
         for _ in 0..10 {
             while !w.engaged() {
-                w.tick(true);
+                if w.tick(true) == WatchdogTransition::Engaged {
+                    engagements += 1;
+                }
             }
+            assert!(w.hold() <= Watchdog::MAX_HOLD);
             while w.engaged() {
                 w.tick(true);
             }
         }
-        assert!(w.hold() <= 8);
-        assert!(w.engagements() >= 10);
+        assert_eq!(w.hold(), Watchdog::MAX_HOLD);
+        assert!(engagements >= 10);
+    }
+
+    #[test]
+    fn watchdog_governor_engages_after_threshold_and_pins_safe_state() {
+        let stats = PolicyStats::new();
+        let mut g =
+            WatchdogGovernor::counters(BaselineGovernor::new(), safe(), DEFAULT_MAX_BW_GBPS)
+                .with_stats(&stats);
+        let k = KernelProfile::builder("k").build();
+        let boost = HwConfig::max_hd7970();
+        for i in 0..3 {
+            assert_eq!(g.decide(&k, i), boost);
+            g.observe(&k, i, boost, &garbage());
+        }
+        assert_eq!(stats.fallback_engagements(), 1);
+        assert_eq!(g.decide(&k, 3), safe());
+        // BASE_HOLD = 4: the hold runs out after four engaged intervals.
+        for i in 3..7 {
+            let cfg = g.decide(&k, i);
+            g.observe(&k, i, cfg, &clean());
+        }
+        assert_eq!(g.decide(&k, 7), boost, "released after the hold expires");
+    }
+
+    #[test]
+    fn watchdog_governor_is_name_transparent() {
+        let g = WatchdogGovernor::counters(BaselineGovernor::new(), safe(), DEFAULT_MAX_BW_GBPS);
+        assert_eq!(g.name(), "baseline");
     }
 }

@@ -75,6 +75,6 @@ pub use governor::{BaselineGovernor, Governor, HarmoniaGovernor, OracleGovernor}
 pub use metrics::{KernelReport, Residency, RunReport};
 pub use predictor::{FitError, SensitivityPredictor};
 pub use runtime::{RetryPolicy, Runtime};
-pub use sanitize::{CounterSanitizer, SanitizerConfig};
+pub use sanitize::CounterSanitizer;
 pub use sensitivity::Sensitivity;
 pub use telemetry::{TraceEvent, TraceHandle, TraceSummary};

@@ -28,7 +28,7 @@
 //!    are rejected the whole sample is deemed corrupt and replaced
 //!    wholesale (keeping the independently-sanitized timer).
 //! 5. **Bounded holding** — wholesale substitution is a bridge, not a
-//!    destination: after [`SanitizerConfig::hold_bound`] *consecutive*
+//!    destination: after [`HOLD_BOUND`] *consecutive*
 //!    wholesale holds the sanitizer stops serving stale counters and
 //!    escalates, passing a recognizably dead (but finite and in-range)
 //!    sample downstream so the watchdog / degradation ladder trips instead
@@ -36,9 +36,9 @@
 //!    escalation emits [`TraceEvent::SanitizerEscalated`].
 //!
 //! Every substitution emits [`TraceEvent::SanitizerReject`] so chaos runs
-//! can count what the sanitizer absorbed. The stage is opt-in — stack a
-//! [`SanitizeLayer`](crate::governor::SanitizeLayer) over the governor (the
-//! registry's `hardened:*` policies do); it hooks
+//! can count what the sanitizer absorbed. The stage is opt-in — wrap the
+//! governor in a [`SanitizeGovernor`](crate::governor::SanitizeGovernor)
+//! (the registry's `hardened:*` policies do); it hooks
 //! [`Governor::condition`](crate::governor::Governor::condition), so the
 //! runtime accounts power/energy from the sanitized measurement. The
 //! default path is byte-identical to previous behaviour.
@@ -71,40 +71,23 @@ pub fn max_bw_gbps_on(grid: &GridSpec) -> f64 {
 /// Number of fields tracked by the EWMA outlier stage.
 const OUTLIER_FIELDS: usize = 6;
 
-/// Tuning for the [`CounterSanitizer`].
-#[derive(Debug, Clone)]
-pub struct SanitizerConfig {
-    /// Physical bandwidth ceiling (GB/s) for the achieved-bandwidth and
-    /// DRAM-traffic hard checks.
-    pub max_bw_gbps: f64,
-    /// Same-configuration samples observed before the outlier stage arms.
-    pub warmup: u32,
-    /// Outlier threshold in multiples of the running absolute deviation.
-    pub outlier_k: f64,
-    /// Outlier threshold floor as a fraction of the field's hard range —
-    /// deviations below this are never outliers, whatever the history says.
-    pub outlier_floor: f64,
-    /// EWMA smoothing factor for the running mean/deviation.
-    pub ewma_alpha: f64,
-    /// Consecutive wholesale last-good holds tolerated before the
-    /// sanitizer escalates (serves a dead sample the watchdog can see)
-    /// instead of masking a stuck counter block forever. `0` disables the
-    /// bound (the pre-escalation behaviour).
-    pub hold_bound: u32,
-}
+/// Same-configuration samples observed before the outlier stage arms.
+pub const WARMUP: u32 = 4;
 
-impl Default for SanitizerConfig {
-    fn default() -> Self {
-        Self {
-            max_bw_gbps: DEFAULT_MAX_BW_GBPS,
-            warmup: 4,
-            outlier_k: 8.0,
-            outlier_floor: 0.35,
-            ewma_alpha: 0.3,
-            hold_bound: 6,
-        }
-    }
-}
+/// Outlier threshold in multiples of the running absolute deviation.
+pub const OUTLIER_K: f64 = 8.0;
+
+/// Outlier threshold floor as a fraction of the field's hard range —
+/// deviations below this are never outliers, whatever the history says.
+pub const OUTLIER_FLOOR: f64 = 0.35;
+
+/// EWMA smoothing factor for the running mean/deviation.
+pub const EWMA_ALPHA: f64 = 0.3;
+
+/// Consecutive wholesale last-good holds tolerated before the sanitizer
+/// escalates (serves a dead sample the watchdog can see) instead of
+/// masking a stuck counter block forever.
+pub const HOLD_BOUND: u32 = 6;
 
 /// Whether a sample passes the *static* plausibility checks alone: every
 /// float field finite and inside its physical range, with achieved
@@ -258,7 +241,9 @@ struct KernelState {
 /// Stateful per-kernel counter sanitizer (see module docs).
 #[derive(Debug)]
 pub struct CounterSanitizer<'a> {
-    config: SanitizerConfig,
+    /// Physical bandwidth ceiling (GB/s) for the achieved-bandwidth and
+    /// DRAM-traffic hard checks: the device's, from [`max_bw_gbps_on`].
+    max_bw_gbps: f64,
     kernels: KernelMap<KernelState>,
     rejects: u64,
     /// Optional power model for the physics check: a sample whose implied
@@ -268,10 +253,11 @@ pub struct CounterSanitizer<'a> {
 }
 
 impl<'a> CounterSanitizer<'a> {
-    /// A sanitizer with the given tuning.
-    pub fn new(config: SanitizerConfig) -> Self {
+    /// A sanitizer judging bandwidth against `max_bw_gbps`, the device's
+    /// ceiling ([`max_bw_gbps_on`]).
+    pub fn new(max_bw_gbps: f64) -> Self {
         Self {
-            config,
+            max_bw_gbps,
             kernels: KernelMap::default(),
             rejects: 0,
             power: None,
@@ -336,12 +322,11 @@ impl<'a> CounterSanitizer<'a> {
             let raw = (f.get)(&c);
             let in_range = raw.is_finite() && (f.lo..=f.hi).contains(&raw);
             let outlier = in_range
-                && ks.samples >= self.config.warmup
+                && ks.samples >= WARMUP
                 && f.stat
                     .and_then(|i| ks.stats[i])
                     .is_some_and(|st| {
-                        let threshold = (self.config.outlier_k * st.dev)
-                            .max(self.config.outlier_floor * (f.hi - f.lo));
+                        let threshold = (OUTLIER_K * st.dev).max(OUTLIER_FLOOR * (f.hi - f.lo));
                         (raw - st.mean).abs() > threshold
                     });
             if !in_range || outlier {
@@ -360,7 +345,7 @@ impl<'a> CounterSanitizer<'a> {
 
         // Config-dependent bounds: achieved bandwidth below the bus limit,
         // DRAM traffic below what that bandwidth could move in the sample.
-        let bw_hi = self.config.max_bw_gbps;
+        let bw_hi = self.max_bw_gbps;
         if !(c.achieved_bw_gbps.is_finite() && (0.0..=bw_hi).contains(&c.achieved_bw_gbps)) {
             rejected.push(("achieved_bw_gbps", c.achieved_bw_gbps));
             c.achieved_bw_gbps = ks
@@ -468,7 +453,7 @@ impl<'a> CounterSanitizer<'a> {
                 c = good;
                 c.duration = keep;
                 ks.held = ks.held.saturating_add(1);
-                if self.config.hold_bound > 0 && ks.held >= self.config.hold_bound {
+                if ks.held >= HOLD_BOUND {
                     // The counter block has been wrong for `held` straight
                     // samples: stop bridging. Serve a finite, in-range but
                     // recognizably dead sample so downstream anomaly checks
@@ -541,15 +526,14 @@ impl<'a> CounterSanitizer<'a> {
 
         // Learn from what was accepted (post-substitution values keep the
         // running stats finite by construction) and store the new last-good.
-        let alpha = self.config.ewma_alpha;
         for f in FIELDS {
             let Some(i) = f.stat else { continue };
             let v = (f.get)(&c);
             match &mut ks.stats[i] {
                 Some(st) => {
                     let delta = (v - st.mean).abs();
-                    st.mean += alpha * (v - st.mean);
-                    st.dev += alpha * (delta - st.dev);
+                    st.mean += EWMA_ALPHA * (v - st.mean);
+                    st.dev += EWMA_ALPHA * (delta - st.dev);
                 }
                 slot @ None => {
                     *slot = Some(FieldStats {
@@ -604,7 +588,7 @@ mod tests {
     }
 
     fn sanitizer() -> CounterSanitizer<'static> {
-        CounterSanitizer::new(SanitizerConfig::default())
+        CounterSanitizer::new(DEFAULT_MAX_BW_GBPS)
     }
 
     #[test]
@@ -763,7 +747,7 @@ mod tests {
         let cfg = HwConfig::max_hd7970();
         let trace = TraceHandle::new();
         s.sanitize("k", 0, cfg, Seconds(0.01), good(), &trace);
-        // The first hold_bound-1 consecutive holds bridge from last-good...
+        // The first HOLD_BOUND-1 consecutive holds bridge from last-good...
         for i in 1..6 {
             let (_, c) = s.sanitize("k", i, cfg, Seconds(0.01), dead(), &trace);
             assert!(!dead_sample(&c), "sample {i} bridged from last-good");

@@ -397,66 +397,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The kernel this event concerns, when it concerns one.
-    pub fn kernel(&self) -> Option<&str> {
-        match self {
-            TraceEvent::KernelStart { kernel, .. }
-            | TraceEvent::KernelEnd { kernel, .. }
-            | TraceEvent::FastForward { kernel, .. }
-            | TraceEvent::Prediction { kernel, .. }
-            | TraceEvent::CgRetune { kernel, .. }
-            | TraceEvent::RevertGuard { kernel, .. }
-            | TraceEvent::FgProbe { kernel, .. }
-            | TraceEvent::FgAccept { kernel, .. }
-            | TraceEvent::FgRevert { kernel, .. }
-            | TraceEvent::FgConverged { kernel, .. }
-            | TraceEvent::KnownBadSkip { kernel, .. }
-            | TraceEvent::CapClamp { kernel, .. }
-            | TraceEvent::DpmShift { kernel, .. }
-            | TraceEvent::FaultInjected { kernel, .. }
-            | TraceEvent::SanitizerReject { kernel, .. }
-            | TraceEvent::FaultDetected { kernel, .. }
-            | TraceEvent::FallbackEngaged { kernel, .. }
-            | TraceEvent::FallbackReleased { kernel, .. }
-            | TraceEvent::RungShift { kernel, .. }
-            | TraceEvent::ActuationAttempt { kernel, .. }
-            | TraceEvent::ActuationResolved { kernel, .. }
-            | TraceEvent::SanitizerEscalated { kernel, .. } => Some(kernel),
-            _ => None,
-        }
-    }
-
-    /// The application iteration this event concerns, when it concerns one.
-    pub fn iteration(&self) -> Option<u64> {
-        match self {
-            TraceEvent::KernelStart { iteration, .. }
-            | TraceEvent::KernelEnd { iteration, .. }
-            | TraceEvent::FastForward { iteration, .. }
-            | TraceEvent::Prediction { iteration, .. }
-            | TraceEvent::CgRetune { iteration, .. }
-            | TraceEvent::RevertGuard { iteration, .. }
-            | TraceEvent::FgProbe { iteration, .. }
-            | TraceEvent::FgAccept { iteration, .. }
-            | TraceEvent::FgRevert { iteration, .. }
-            | TraceEvent::FgConverged { iteration, .. }
-            | TraceEvent::KnownBadSkip { iteration, .. }
-            | TraceEvent::CapClamp { iteration, .. }
-            | TraceEvent::DpmShift { iteration, .. }
-            | TraceEvent::FaultInjected { iteration, .. }
-            | TraceEvent::SanitizerReject { iteration, .. }
-            | TraceEvent::FaultDetected { iteration, .. }
-            | TraceEvent::FallbackEngaged { iteration, .. }
-            | TraceEvent::FallbackReleased { iteration, .. }
-            | TraceEvent::RungShift { iteration, .. }
-            | TraceEvent::ActuationAttempt { iteration, .. }
-            | TraceEvent::ActuationResolved { iteration, .. }
-            | TraceEvent::SanitizerEscalated { iteration, .. } => Some(*iteration),
-            _ => None,
-        }
-    }
-}
-
 /// A bounded ring buffer of trace events. When full, the oldest event is
 /// dropped and counted — decision traces keep their most recent window.
 #[derive(Debug)]
@@ -929,8 +869,8 @@ mod tests {
         let evs = h.events();
         assert_eq!(evs.len(), 2);
         assert_eq!(h.len(), 2);
-        assert_eq!(evs[0].iteration(), Some(0));
-        assert_eq!(evs[1].iteration(), Some(1));
+        assert_eq!(evs[0], start("k", 0, pt(32, 1000, 1375)));
+        assert_eq!(evs[1], start("k", 1, pt(32, 1000, 1225)));
     }
 
     #[test]
@@ -942,8 +882,8 @@ mod tests {
         let evs = h.events();
         assert_eq!(evs.len(), 2);
         assert_eq!(h.dropped(), 3);
-        assert_eq!(evs[0].iteration(), Some(3));
-        assert_eq!(evs[1].iteration(), Some(4));
+        assert_eq!(evs[0], start("k", 3, pt(32, 1000, 1375)));
+        assert_eq!(evs[1], start("k", 4, pt(32, 1000, 1375)));
     }
 
     #[test]

@@ -98,7 +98,9 @@ pub fn trace_app_with(ctx: &Context, name: &str, spec: PolicySpec) -> Option<Tra
         "replaying the {} KernelStart events reproduces the governor's configuration sequence",
         s.invocations
     ));
-    report.note("export: one JSON object per line; `kind` tags the event type");
+    report.note(
+        "export: one JSON object per line, keyed by its event type (`{\"KernelStart\":{...}}`)",
+    );
 
     Some(TraceRun {
         report,

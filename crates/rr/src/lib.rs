@@ -318,18 +318,6 @@ impl SessionEvent {
         }
     }
 
-    /// The application iteration (phase position), when the event has one.
-    pub fn iteration(&self) -> Option<u64> {
-        match self {
-            SessionEvent::Decision { iteration, .. }
-            | SessionEvent::Actuation { iteration, .. }
-            | SessionEvent::ActuationResolved { iteration, .. }
-            | SessionEvent::Sample { iteration, .. }
-            | SessionEvent::Conditioned { iteration, .. } => Some(*iteration),
-            _ => None,
-        }
-    }
-
     /// Names the fields where `self` and `other` differ (bitwise for
     /// floats), as `field: self-value != other-value` strings. Empty when
     /// equal; a single variant-mismatch entry when the kinds differ.

@@ -821,8 +821,8 @@ impl DeviceSpec {
     /// The watchdog safe state for this device: every CU active (gating is
     /// what misbehaves under faults), the compute clock at the second DVFS
     /// state snapped onto the grid, memory at full bandwidth. For the
-    /// HD7970 this is exactly the legacy `safe_state()` (32 CUs @ 500 MHz,
-    /// 1375 MHz bus).
+    /// HD7970 this is 32 CUs @ 500 MHz with the 1375 MHz bus, the PowerTune
+    /// DPM state.
     pub fn safe_state(&self) -> HwConfig {
         let states = self.dvfs.states();
         let target = states.get(1).unwrap_or(&states[0]).freq;

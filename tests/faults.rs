@@ -3,20 +3,19 @@
 //! * the counter sanitizer never lets a non-finite or out-of-range sample
 //!   through, whatever garbage the monitoring block hands it (property
 //!   test over wild float inputs);
-//! * the watchdog's safe-state fallback is always a valid grid point;
+//! * the watchdog's safe-state fallback is a valid grid point on every
+//!   catalog device;
 //! * the entire fault plumbing is bit-transparent when the plan is empty —
 //!   a `FaultyModel`-wrapped, actuator-shimmed Graph500 run reproduces the
 //!   committed golden decision trace byte for byte;
 //! * a fully hardened pipeline on clean data rejects nothing and never
 //!   falls back (hardening costs nothing when nothing is wrong).
 
-use harmonia::governor::{
-    safe_state, PolicyResources, PolicySpec, Watchdog, WatchdogConfig, WatchdogTransition,
-};
+use harmonia::governor::{PolicyResources, PolicySpec, Watchdog, WatchdogTransition};
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
 use harmonia::sanitize::{
-    counters_plausible, max_bw_gbps_on, CounterSanitizer, SanitizerConfig, DEFAULT_MAX_BW_GBPS,
+    counters_plausible, max_bw_gbps_on, CounterSanitizer, DEFAULT_MAX_BW_GBPS,
 };
 use harmonia::telemetry::{self, TraceHandle};
 use harmonia_experiments::Context;
@@ -71,7 +70,7 @@ proptest! {
         time in wild(),
         with_history in 0u32..2,
     ) {
-        let mut s = CounterSanitizer::new(SanitizerConfig::default());
+        let mut s = CounterSanitizer::new(DEFAULT_MAX_BW_GBPS);
         let trace = TraceHandle::disabled();
         let cfg = HwConfig::max_hd7970();
         if with_history == 1 {
@@ -105,21 +104,24 @@ proptest! {
 
 #[test]
 fn watchdog_fallback_is_a_valid_grid_point() {
-    let space = ConfigSpace::hd7970();
-    assert!(space.contains(safe_state()), "safe state off the grid");
-
-    let mut wd = Watchdog::new(WatchdogConfig::default());
-    let threshold = wd.config().threshold;
-    for i in 0..threshold {
-        let tr = wd.tick(true);
-        if i + 1 == threshold {
-            assert_eq!(tr, WatchdogTransition::Engaged);
-        } else {
-            assert_eq!(tr, WatchdogTransition::None);
+    for name in DeviceSpec::catalog() {
+        let device = DeviceSpec::lookup(name).expect(name);
+        let space = ConfigSpace::for_grid(device.grid());
+        let mut wd = Watchdog::new(device.safe_state());
+        for i in 0..Watchdog::THRESHOLD {
+            let tr = wd.tick(true);
+            if i + 1 == Watchdog::THRESHOLD {
+                assert_eq!(tr, WatchdogTransition::Engaged);
+            } else {
+                assert_eq!(tr, WatchdogTransition::None);
+            }
         }
+        assert!(wd.engaged());
+        assert!(
+            space.contains(wd.safe()),
+            "{name}: fallback config off the grid"
+        );
     }
-    assert!(wd.engaged());
-    assert!(space.contains(wd.safe()), "fallback config off the grid");
 }
 
 #[test]
@@ -180,15 +182,11 @@ fn clean_samples_pass_the_sanitizer_on_every_catalog_device() {
         let model = IntervalModel::new(device.gpu);
         let power = PowerModel::for_device(&device);
         let max_bw_gbps = max_bw_gbps_on(device.grid());
-        let config = SanitizerConfig {
-            max_bw_gbps,
-            ..SanitizerConfig::default()
-        };
         let (mut implausible, mut changed, mut samples) = (0u32, 0u32, 0u32);
         for (_, kernel) in suite::training_kernels() {
             for cfg in ConfigSpace::for_grid(device.grid()).iter() {
                 let raw = model.simulate(cfg, &kernel, 0);
-                let mut sanitizer = CounterSanitizer::new(config.clone()).with_power(&power);
+                let mut sanitizer = CounterSanitizer::new(max_bw_gbps).with_power(&power);
                 let (t, c) =
                     sanitizer.sanitize(&kernel.name, 0, cfg, raw.time, raw.counters, &trace);
                 samples += 1;

@@ -1,30 +1,30 @@
-//! Contracts of the composable governor middleware stack
-//! (`harmonia::governor::stack`):
+//! Contracts of the hardening decorators (`harmonia::governor`):
 //!
-//! * **Trace forwarding** — every layer (and the cap decorator) forwards
-//!   the runtime's `TraceHandle` to its inner governor, so a stacked
-//!   policy's decision events reach the primary sink no matter how deep
-//!   the emitting governor sits.
-//! * **Watchdog telemetry** — a layered watchdog emits the same
-//!   `FaultDetected` / `FallbackEngaged` / `FallbackReleased` sequence the
-//!   old governor-internal state machines did.
+//! * **Trace forwarding** — every decorator forwards the runtime's
+//!   `TraceHandle` to its inner governor, so a stacked policy's decision
+//!   events reach the primary sink no matter how deep the emitting
+//!   governor sits.
+//! * **Watchdog telemetry** — a watchdog emits the
+//!   `FaultDetected` / `FallbackEngaged` / `FallbackReleased` sequence.
 //! * **Ledger wiring** — the cap watchdog's actuation check compares
-//!   against the *post-clamp* grant when its ledger is handed to the outer
-//!   `CappedGovernor`, and false-trips on the pre-clamp decision when it
-//!   is not.
+//!   against the *post-clamp* grant written by the clamp that handed it
+//!   its ledger, and still flags a configuration that was never granted.
 //! * **Accounting parity** — the hardened capped stack counts exactly the
 //!   cap violations the plain capped policy counts on the same run.
+//! * **Parked accounting** — a cap violation while the ladder sits on its
+//!   safe rung counts as one while parked.
 
 use harmonia::governor::{
-    CappedGovernor, Governor, GovernorLayer, PolicyResources, PolicySpec, SanitizeLayer,
-    WatchdogConfig, WatchdogLayer,
+    CappedGovernor, DegradeGovernor, Governor, PolicyResources, PolicySpec, SanitizeGovernor,
+    WatchdogGovernor,
 };
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
+use harmonia::sanitize::DEFAULT_MAX_BW_GBPS;
 use harmonia::telemetry::{TraceEvent, TraceHandle};
-use harmonia_power::PowerModel;
+use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{CounterSample, IntervalModel, KernelProfile};
-use harmonia_types::{HwConfig, Seconds, Watts};
+use harmonia_types::{DeviceSpec, HwConfig, Seconds, Watts};
 use harmonia_workloads::suite;
 
 /// A governor that emits one trace event per decision through whatever
@@ -72,6 +72,11 @@ fn kernel() -> KernelProfile {
     KernelProfile::builder("k").build()
 }
 
+/// The HD7970's safe state: 32 CUs at the 500 MHz DPM clock.
+fn safe() -> HwConfig {
+    DeviceSpec::lookup("hd7970").expect("catalog device").safe_state()
+}
+
 fn clean() -> CounterSample {
     CounterSample {
         duration: Seconds(0.01),
@@ -112,18 +117,31 @@ fn probe_events<G: Governor>(mut g: G) -> usize {
 #[test]
 fn every_layer_forwards_the_trace_handle() {
     let power = PowerModel::hd7970();
-    let stats = harmonia::governor::PolicyStats::new();
 
-    let counters_wd =
-        WatchdogLayer::counters(WatchdogConfig::default()).layer(Box::new(ProbeGovernor::new()));
-    assert_eq!(probe_events(counters_wd), 1, "counter watchdog layer");
+    let counters_wd = WatchdogGovernor::counters(ProbeGovernor::new(), safe(), DEFAULT_MAX_BW_GBPS);
+    assert_eq!(probe_events(counters_wd), 1, "counter watchdog");
 
-    let cap_wd = WatchdogLayer::cap(WatchdogConfig::default(), &power, Watts(185.0), &stats)
-        .layer(Box::new(ProbeGovernor::new()));
-    assert_eq!(probe_events(cap_wd), 1, "cap watchdog layer");
+    // The cap watchdog and the ladder take the ledger of the clamp they
+    // sit under; the clamp's cap is too generous to bind.
+    let cap_wd = CappedGovernor::checked(
+        |ledger| WatchdogGovernor::cap(ProbeGovernor::new(), safe(), &power, Watts(185.0), ledger),
+        &power,
+        Watts(500.0),
+    );
+    assert_eq!(probe_events(cap_wd), 1, "cap watchdog");
 
-    let sanitized = SanitizeLayer::default().layer(Box::new(ProbeGovernor::new()));
-    assert_eq!(probe_events(sanitized), 1, "sanitize layer");
+    let ladder = CappedGovernor::checked(
+        |ledger| {
+            let probe = ProbeGovernor::new;
+            DegradeGovernor::new(probe(), probe(), probe(), safe(), DEFAULT_MAX_BW_GBPS, ledger)
+        },
+        &power,
+        Watts(500.0),
+    );
+    assert_eq!(probe_events(ladder), 1, "ladder");
+
+    let sanitized = SanitizeGovernor::new(ProbeGovernor::new(), DEFAULT_MAX_BW_GBPS);
+    assert_eq!(probe_events(sanitized), 1, "sanitizer");
 
     let capped = CappedGovernor::new(ProbeGovernor::new(), &power, Watts(500.0));
     assert_eq!(probe_events(capped), 1, "cap decorator");
@@ -132,19 +150,22 @@ fn every_layer_forwards_the_trace_handle() {
 #[test]
 fn layered_watchdog_emits_the_fault_and_fallback_event_sequence() {
     let handle = TraceHandle::new();
-    let mut g = WatchdogLayer::counters(WatchdogConfig::default())
-        .layer(Box::new(harmonia::governor::BaselineGovernor::new()));
+    let mut g = WatchdogGovernor::counters(
+        harmonia::governor::BaselineGovernor::new(),
+        safe(),
+        DEFAULT_MAX_BW_GBPS,
+    );
     g.set_trace(handle.clone());
     let k = kernel();
-    // threshold = 3 consecutive anomalies trip the fallback.
+    // THRESHOLD = 3 consecutive anomalies trip the fallback.
     for i in 0..3 {
         let cfg = g.decide(&k, i);
         g.observe(&k, i, cfg, &garbage());
     }
-    // base_hold = 4 clean engaged intervals, then release.
+    // BASE_HOLD = 4 clean engaged intervals, then release.
     for i in 3..7 {
         let cfg = g.decide(&k, i);
-        assert_eq!(cfg, harmonia::governor::safe_state(), "iteration {i} not pinned");
+        assert_eq!(cfg, safe(), "iteration {i} not pinned");
         g.observe(&k, i, cfg, &clean());
     }
     let events = handle.events();
@@ -161,20 +182,22 @@ fn layered_watchdog_emits_the_fault_and_fallback_event_sequence() {
 #[test]
 fn post_clamp_ledger_prevents_actuation_false_trips() {
     let power = PowerModel::hd7970();
-    let mut config = WatchdogConfig::default();
-    config.check.check_actuation = true;
     // A cap this tight clamps the baseline's boost decision, so granted
     // (post-clamp) differs from the inner decision (pre-clamp).
     let cap = Watts(150.0);
     let k = kernel();
 
-    // Wired: the watchdog's ledger handed to the cap decorator. The
-    // post-clamp grant overwrites the pre-clamp entry, so granted == ran.
+    // The cap watchdog holds the clamp's ledger: the post-clamp grant is
+    // what it checks what ran against, so granted == ran.
     let stats = harmonia::governor::PolicyStats::new();
-    let layer = WatchdogLayer::cap(config.clone(), &power, cap, &stats);
-    let ledger = layer.ledger();
-    let guarded = layer.layer(Box::new(harmonia::governor::BaselineGovernor::new()));
-    let mut wired = CappedGovernor::new(guarded, &power, cap).with_ledger(ledger);
+    let mut wired = CappedGovernor::checked(
+        |ledger| {
+            let baseline = harmonia::governor::BaselineGovernor::new();
+            WatchdogGovernor::cap(baseline, safe(), &power, cap, ledger).with_stats(&stats)
+        },
+        &power,
+        cap,
+    );
     let wired_trace = TraceHandle::new();
     wired.set_trace(wired_trace.clone());
     for i in 0..4 {
@@ -196,28 +219,16 @@ fn post_clamp_ledger_prevents_actuation_false_trips() {
     assert_eq!(mismatches(&wired_trace), 0, "post-clamp grants must match");
     assert_eq!(stats.fallback_engagements(), 0);
 
-    // Unwired: the watchdog only sees its own pre-clamp decision, so every
-    // observation looks like an actuation failure.
-    let stats = harmonia::governor::PolicyStats::new();
-    let guarded = WatchdogLayer::cap(config, &power, cap, &stats)
-        .layer(Box::new(harmonia::governor::BaselineGovernor::new()));
-    let mut unwired = CappedGovernor::new(guarded, &power, cap);
-    let unwired_trace = TraceHandle::new();
-    unwired.set_trace(unwired_trace.clone());
-    for i in 0..4 {
-        let cfg = unwired.decide(&k, i);
-        unwired.observe(&k, i, cfg, &clean());
-    }
-    assert!(
-        mismatches(&unwired_trace) > 0,
-        "pre-clamp ledger must false-trip the actuation check"
-    );
+    // An interval that ran somewhere the clamp never granted (below it,
+    // so the cap holds) is still an actuation failure.
+    wired.decide(&k, 4);
+    wired.observe(&k, 4, HwConfig::min_hd7970(), &clean());
+    assert_eq!(mismatches(&wired_trace), 1, "a real actuation failure must trip");
 }
 
 #[test]
 fn hardened_and_plain_capped_stacks_agree_on_cap_accounting() {
-    // Satellite check for the watchdog dedup: extracting the transition
-    // handling into WatchdogLayer must not drift cap-violation accounting
+    // The hardening decorators must not drift cap-violation accounting
     // between the plain and hardened capped stacks on a clean run.
     let predictor = SensitivityPredictor::paper_table3();
     let model = IntervalModel::default();
@@ -244,4 +255,40 @@ fn hardened_and_plain_capped_stacks_agree_on_cap_accounting() {
     assert_eq!(hardened.stats.fallback_engagements(), 0);
     assert_eq!(hardened.stats.sanitizer_rejects(), 0);
     assert_eq!(plain_run.total_time, hardened_run.total_time);
+}
+
+#[test]
+fn cap_violations_count_while_the_ladder_is_parked() {
+    let predictor = SensitivityPredictor::paper_table3();
+    let model = IntervalModel::default();
+    let power = PowerModel::hd7970();
+    let res = PolicyResources::new(&predictor, &model, &power);
+    let k = kernel();
+    let busy = clean();
+    let activity = Activity {
+        valu_activity: busy.valu_activity(),
+        dram_bytes_per_sec: busy.dram_bytes_per_sec(),
+        dram_traffic_fraction: busy.ic_activity,
+    };
+    // A cap below the grid floor's card power: every interval violates
+    // it, parked or not.
+    let floor = HwConfig::min_hd7970();
+    let cap = Watts(power.card_pwr(floor, &activity).value() / 2.0);
+    let policy = PolicySpec::HardenedLadder(cap).build(&res);
+    let mut governor = policy.governor;
+    // Running at boost instead of the clamped grant is an actuation
+    // mismatch: 3 + 3 intervals step down to freq-only, 6 more park.
+    for i in 0..12 {
+        assert_eq!(governor.decide(&k, i), floor, "the clamp grants the floor");
+        governor.observe(&k, i, HwConfig::max_hd7970(), &busy);
+    }
+    let stats = &policy.stats;
+    assert_eq!(stats.fallback_engagements(), 1, "the ladder reached its safe rung");
+    assert_eq!(stats.cap_violations(), 12);
+    assert_eq!(stats.violations_while_fallback(), 0, "none while still governing");
+    // Parked: the clamped safe state still breaks the cap.
+    let cfg = governor.decide(&k, 12);
+    governor.observe(&k, 12, cfg, &busy);
+    assert_eq!(stats.cap_violations(), 13);
+    assert_eq!(stats.violations_while_fallback(), 1, "counted while parked");
 }

@@ -3,40 +3,30 @@
 //! degradation ladder's non-oscillation guarantee under square-wave
 //! (flapping) faults.
 //!
-//! Both machines are pure `tick(anomalous) -> transition` counters, so the
-//! properties drive them with generated inputs and check the invariants
-//! the chaos table relies on: engagements only after a full anomaly
-//! streak, hold lengths that double exactly until the configured ceiling,
-//! and hysteresis that keeps a flapping fault from ping-ponging a rung
-//! boundary.
+//! Both machines are pure `tick(anomalous) -> transition` counters with
+//! fixed tuning, so the properties drive them with generated input
+//! patterns and check the invariants the chaos table relies on:
+//! engagements only after a full anomaly streak, hold lengths that double
+//! exactly until the ceiling, and hysteresis that keeps a flapping fault
+//! from ping-ponging a rung boundary.
 
-use harmonia::governor::{
-    Ladder, LadderConfig, LadderTransition, Rung, Watchdog, WatchdogConfig, WatchdogTransition,
-};
+use harmonia::governor::{Ladder, LadderTransition, Rung, Watchdog, WatchdogTransition};
+use harmonia_types::HwConfig;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A persistently-anomalous stream trips the watchdog after exactly
-    /// `threshold` intervals, parks for the advertised hold, and each
-    /// re-engagement doubles the hold until it saturates at `max_hold` —
+    /// `THRESHOLD` intervals, parks for the advertised hold, and each
+    /// re-engagement doubles the hold until it saturates at `MAX_HOLD` —
     /// never past it, and never skipping a doubling step.
     #[test]
-    fn watchdog_trip_park_backoff_doubles_to_cap(
-        threshold in 1u32..6,
-        base_hold in 1u64..8,
-        doublings in 2u32..7,
-        engagements in 2usize..8,
-    ) {
-        let max_hold = base_hold << doublings;
-        let mut wd = Watchdog::new(WatchdogConfig {
-            threshold,
-            base_hold,
-            max_hold,
-            ..WatchdogConfig::default()
-        });
-        let mut expected_hold = base_hold;
+    fn watchdog_trip_park_backoff_doubles_to_cap(engagements in 2usize..10) {
+        let threshold = Watchdog::THRESHOLD;
+        let max_hold = Watchdog::MAX_HOLD;
+        let mut wd = Watchdog::new(HwConfig::min_hd7970());
+        let mut expected_hold = Watchdog::BASE_HOLD;
         for engagement in 0..engagements {
             // Trip: exactly `threshold` anomalies engage, none earlier.
             for i in 0..threshold {
@@ -70,22 +60,14 @@ proptest! {
     /// the rung is monotonically non-increasing.
     #[test]
     fn ladder_square_wave_never_oscillates(
-        demote_threshold in 1u32..5,
-        base_hold in 2u64..10,
-        burst_extra in 0u32..4,
-        cycles in 4u64..40,
-    ) {
-        let burst = demote_threshold + burst_extra;
+        // At least one demotion streak, so the first burst demotes.
+        burst in Ladder::DEMOTE_THRESHOLD..Ladder::SAFE_DEMOTE_THRESHOLD + 2,
         // The non-oscillation precondition: the clean half-period is
         // shorter than the smallest possible promotion hold.
-        let quiet = base_hold - 1;
-        let mut ladder = Ladder::new(LadderConfig {
-            demote_threshold,
-            safe_demote_threshold: demote_threshold * 2,
-            base_hold,
-            max_hold: base_hold * 16,
-            clean_reset: base_hold * 4,
-        });
+        quiet in 0..Ladder::BASE_HOLD,
+        cycles in 4u64..40,
+    ) {
+        let mut ladder = Ladder::default();
         let mut min_rung_index = Rung::Full.index();
         for cycle in 0..cycles {
             for _ in 0..burst {
