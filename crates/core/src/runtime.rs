@@ -17,7 +17,7 @@ use crate::governor::Governor;
 use crate::metrics::{KernelReport, RunReport};
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel, PowerTrace};
-use harmonia_rr::{Recorder, ReplayedActuation, Replayer, SessionEvent};
+use harmonia_rr::{Actuation, Recorder, Replayer, SessionEvent};
 use harmonia_sim::faults::{ActuationOutcome, FaultKind, FaultPlan};
 use harmonia_sim::TimingModel;
 use harmonia_types::{HwConfig, Joules, Seconds, Session};
@@ -54,27 +54,6 @@ impl Default for RetryPolicy {
             timeout_us: 2_000,
         }
     }
-}
-
-/// Terminal verdict of the retry shim for one invocation, when at least
-/// one attempt was perturbed.
-struct ResolvedActuation {
-    outcome: ActuationOutcome,
-    attempts: u32,
-    kinds: Vec<FaultKind>,
-    actual: HwConfig,
-}
-
-/// What the actuation stage decided for one invocation.
-enum Actuation {
-    /// No fault fired; the decided configuration took effect.
-    Clean,
-    /// Single-shot fault path (no retry shim): one fault perturbed the
-    /// transition.
-    Fault { kind: FaultKind, actual: HwConfig },
-    /// Retry-shim path: a terminal outcome after one or more perturbed
-    /// attempts.
-    Resolved(ResolvedActuation),
 }
 
 /// Executes applications on a timing model and power model under a governor.
@@ -203,9 +182,9 @@ impl<'a> Runtime<'a> {
     }
 
     /// Drives one invocation's configuration transition through the retry
-    /// state machine. `None` when the first attempt applied cleanly — the
-    /// overwhelmingly common case, and the one that must leave the session
-    /// trace untouched.
+    /// state machine to an [`Actuation::Resolved`] verdict. `None` when the
+    /// first attempt applied cleanly — the overwhelmingly common case, and
+    /// the one that must leave the session trace untouched.
     fn resolve_actuation(
         &self,
         plan: &FaultPlan,
@@ -214,7 +193,7 @@ impl<'a> Runtime<'a> {
         decided: HwConfig,
         previous: Option<HwConfig>,
         iteration: u64,
-    ) -> Option<ResolvedActuation> {
+    ) -> Option<Actuation> {
         let mut kinds: Vec<FaultKind> = Vec::new();
         let mut attempts: u32 = 0;
         let mut backoff_spent: u64 = 0;
@@ -230,7 +209,7 @@ impl<'a> Runtime<'a> {
                 ordinal,
             ) else {
                 // This attempt went through cleanly.
-                return (!kinds.is_empty()).then(|| ResolvedActuation {
+                return (!kinds.is_empty()).then(|| Actuation::Resolved {
                     outcome: ActuationOutcome::Retried(attempts - 1),
                     attempts,
                     kinds,
@@ -250,7 +229,7 @@ impl<'a> Runtime<'a> {
                 // A thermal clamp is the platform's last word: the
                 // transition completed, at the ceiling it imposed.
                 FaultKind::ThermalThrottle => {
-                    return Some(ResolvedActuation {
+                    return Some(Actuation::Resolved {
                         outcome: ActuationOutcome::Applied,
                         attempts,
                         kinds,
@@ -264,7 +243,7 @@ impl<'a> Runtime<'a> {
                 // last-known-good configuration. At session start there
                 // is no last-good anchor and the partial point stands.
                 FaultKind::DvfsNeighbor => {
-                    return Some(ResolvedActuation {
+                    return Some(Actuation::Resolved {
                         outcome: ActuationOutcome::RolledBack,
                         attempts,
                         kinds,
@@ -281,7 +260,7 @@ impl<'a> Runtime<'a> {
                     let over_budget = retries >= policy.max_retries
                         || backoff_spent.saturating_add(delay) > policy.timeout_us;
                     if over_budget {
-                        return Some(ResolvedActuation {
+                        return Some(Actuation::Resolved {
                             outcome: ActuationOutcome::TimedOut,
                             attempts,
                             kinds,
@@ -357,37 +336,23 @@ impl<'a> Runtime<'a> {
                 // identically, so a replayed session re-produces the
                 // recording bit for bit.
                 let actuation = match (&self.replay, self.faults) {
-                    (Some(rep), _) => match rep.actuation_event_for(
-                        &self.model.gpu().grid,
-                        &kernel.name,
-                        iteration,
-                    ) {
-                        Some(ReplayedActuation::Fault { kind, actual }) if actual != decided => {
-                            Actuation::Fault { kind, actual }
-                        }
-                        Some(ReplayedActuation::Resolved { outcome, attempts, kinds, actual }) => {
-                            Actuation::Resolved(ResolvedActuation {
-                                outcome,
-                                attempts,
-                                kinds,
-                                actual,
-                            })
-                        }
-                        _ => Actuation::Clean,
-                    },
+                    // A replayed fault that landed on the decision is clean.
+                    (Some(rep), _) => rep
+                        .actuation_event_for(&self.model.gpu().grid, &kernel.name, iteration)
+                        .filter(
+                            |a| !matches!(a, Actuation::Fault { actual, .. } if *actual == decided),
+                        ),
                     (None, Some(plan)) if !plan.is_empty() => {
                         let previous = last_actual[slot];
                         match self.actuator {
-                            Some(policy) => self
-                                .resolve_actuation(
-                                    plan,
-                                    policy,
-                                    &kernel.name,
-                                    decided,
-                                    previous,
-                                    iteration,
-                                )
-                                .map_or(Actuation::Clean, Actuation::Resolved),
+                            Some(policy) => self.resolve_actuation(
+                                plan,
+                                policy,
+                                &kernel.name,
+                                decided,
+                                previous,
+                                iteration,
+                            ),
                             None => plan
                                 .actuate_attempt_on(
                                     &self.model.gpu().grid,
@@ -398,16 +363,14 @@ impl<'a> Runtime<'a> {
                                     0,
                                 )
                                 .filter(|&(_, actual)| actual != decided)
-                                .map_or(Actuation::Clean, |(kind, actual)| Actuation::Fault {
-                                    kind,
-                                    actual,
-                                }),
+                                .map(|(kind, actual)| Actuation::Fault { kind, actual }),
                         }
                     }
-                    _ => Actuation::Clean,
+                    _ => None,
                 };
                 let cfg = match actuation {
-                    Actuation::Fault { kind, actual } => {
+                    None => decided,
+                    Some(Actuation::Fault { kind, actual }) => {
                         self.telemetry.emit(|| TraceEvent::FaultInjected {
                             kernel: kernel.name.to_string(),
                             iteration,
@@ -426,29 +389,33 @@ impl<'a> Runtime<'a> {
                         }
                         actual
                     }
-                    Actuation::Resolved(res) => {
+                    Some(Actuation::Resolved {
+                        outcome,
+                        attempts,
+                        kinds,
+                        actual,
+                    }) => {
                         self.telemetry.emit(|| TraceEvent::ActuationResolved {
                             kernel: kernel.name.to_string(),
                             iteration,
-                            outcome: res.outcome.label().to_string(),
-                            attempts: res.attempts,
+                            outcome: outcome.label().to_string(),
+                            attempts,
                             wanted: decided.into(),
-                            actual: res.actual.into(),
+                            actual: actual.into(),
                         });
                         if let Some(rec) = &self.recorder {
                             rec.record(SessionEvent::ActuationResolved {
                                 kernel: kernel.name.clone(),
                                 iteration,
-                                outcome: res.outcome,
-                                attempts: res.attempts,
-                                kinds: res.kinds.clone(),
+                                outcome,
+                                attempts,
+                                kinds,
                                 wanted: decided.into(),
-                                actual: res.actual.into(),
+                                actual: actual.into(),
                             });
                         }
-                        res.actual
+                        actual
                     }
-                    Actuation::Clean => decided,
                 };
                 if let Some(last) = last_actual.get_mut(slot) {
                     *last = Some(cfg);

@@ -148,16 +148,6 @@ fn plan_label(plan: &FaultPlan) -> String {
         .join(" ")
 }
 
-/// Every `CfgPoint` a session event carries, for the grid-validity check.
-fn event_configs(ev: &SessionEvent) -> Vec<harmonia_rr::CfgPoint> {
-    match ev {
-        SessionEvent::Decision { cfg, .. } | SessionEvent::Sample { cfg, .. } => vec![*cfg],
-        SessionEvent::Actuation { wanted, actual, .. }
-        | SessionEvent::ActuationResolved { wanted, actual, .. } => vec![*wanted, *actual],
-        _ => Vec::new(),
-    }
-}
-
 /// Runs one fuzzed case and returns its violated invariants (empty when
 /// the case passes).
 fn check_case(
@@ -182,7 +172,7 @@ fn check_case(
     if recorded
         .events
         .iter()
-        .flat_map(event_configs)
+        .flat_map(SessionEvent::configs)
         .any(|cfg| cfg.to_hw_on(grid).is_none())
     {
         violated.push("grid-valid");

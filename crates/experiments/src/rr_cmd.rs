@@ -223,9 +223,10 @@ pub fn record_session_with(
 ///
 /// Fails (with a human-readable message) when the trace has no
 /// `SessionStart` header, names an application that is not in the suite,
-/// names a policy the registry does not know, or records a decision or
-/// sample off `ctx`'s device grid — a trace recorded on another device,
-/// which the message says to replay under that device's `--device`.
+/// names a policy the registry does not know, or records a configuration
+/// (any [`SessionEvent::configs`] point) off `ctx`'s device grid — a trace
+/// recorded on another device, which the message says to replay under
+/// that device's `--device`.
 pub fn replay_session(ctx: &Context, recorded: &[SessionEvent]) -> Result<ReplayedSession, String> {
     let Some(SessionEvent::SessionStart { app, policy, fault_seed }) = recorded.first() else {
         return Err("trace has no session-start header".to_string());
@@ -240,12 +241,10 @@ pub fn replay_session(ctx: &Context, recorded: &[SessionEvent]) -> Result<Replay
     // The header does not name the recording device, but every
     // configuration a session ran at lies on that device's grid.
     let grid = &ctx.model().gpu().grid;
-    let foreign = recorded.iter().find_map(|e| match e {
-        SessionEvent::Decision { cfg, .. } | SessionEvent::Sample { cfg, .. } => {
-            cfg.to_hw_on(grid).is_none().then_some(*cfg)
-        }
-        _ => None,
-    });
+    let foreign = recorded
+        .iter()
+        .flat_map(SessionEvent::configs)
+        .find(|cfg| cfg.to_hw_on(grid).is_none());
     if let Some(cfg) = foreign {
         let device = &ctx.device().name;
         return Err(format!(

@@ -17,11 +17,13 @@
 //! decoder accepts both, rejecting tag 6 inside a v1 stream as a
 //! [`CodecError::BadTag`].
 //!
-//! Scalars: `u64`/`u32` as LEB128 varints, `f64` as its raw 8-byte bit
-//! pattern (NaN payloads survive — power-glitch samples must round-trip
-//! bit-exactly). Kernel names are interned: a name reference equal to the
-//! running table size introduces a new name inline (varint length + UTF-8);
-//! smaller references index the table. Encoding is canonical, so
+//! Each event is its tag, then its fields in the order the event's field
+//! list gives them, one wire form per field kind. Scalars: `u64`/`u32` as
+//! LEB128 varints, `f64` as its raw 8-byte bit pattern (NaN payloads
+//! survive — power-glitch samples must round-trip bit-exactly). Kernel
+//! names are interned: a name reference equal to the running table size
+//! introduces a new name inline (varint length + UTF-8); smaller
+//! references index the table. Encoding is canonical, so
 //! `encode(decode(bytes)) == bytes` for any valid stream. Decoding
 //! allocates each distinct name once and every event naming it shares that
 //! [`Arc<str>`].
@@ -30,7 +32,7 @@
 //! references, and stream length, and every failure is a typed
 //! [`CodecError`] with the byte offset it was detected at.
 
-use crate::{CfgPoint, SessionEvent};
+use crate::{counter_values, CfgPoint, Counter, FieldRef, FieldVisitor, SessionEvent};
 use harmonia_sim::{ActuationOutcome, CounterSample, FaultKind};
 use harmonia_types::Seconds;
 use std::error::Error;
@@ -50,13 +52,24 @@ pub const FORMAT_VERSION: u16 = 2;
 /// First version with the `actuation-resolved` event (tag 6).
 const VERSION_ACTUATION_RESOLVED: u16 = 2;
 
-const TAG_SESSION_START: u8 = 0;
-const TAG_DECISION: u8 = 1;
-const TAG_ACTUATION: u8 = 2;
-const TAG_SAMPLE: u8 = 3;
-const TAG_CONDITIONED: u8 = 4;
-const TAG_SESSION_END: u8 = 5;
-const TAG_ACTUATION_RESOLVED: u8 = 6;
+pub(crate) const TAG_SESSION_START: u8 = 0;
+pub(crate) const TAG_DECISION: u8 = 1;
+pub(crate) const TAG_ACTUATION: u8 = 2;
+pub(crate) const TAG_SAMPLE: u8 = 3;
+pub(crate) const TAG_CONDITIONED: u8 = 4;
+pub(crate) const TAG_SESSION_END: u8 = 5;
+pub(crate) const TAG_ACTUATION_RESOLVED: u8 = 6;
+
+/// Each event variant's label, indexed by its tag.
+pub(crate) const LABELS: [&str; 7] = [
+    "session-start",
+    "decision",
+    "actuation",
+    "sample",
+    "conditioned",
+    "session-end",
+    "actuation-resolved",
+];
 
 /// A malformed or unsupported session-trace stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +143,10 @@ impl fmt::Display for CodecError {
                 write!(f, "unknown event tag {tag} at byte {offset}")
             }
             CodecError::BadKernelRef { reference, offset } => {
-                write!(f, "kernel-name reference {reference} out of range at byte {offset}")
+                write!(
+                    f,
+                    "kernel-name reference {reference} out of range at byte {offset}"
+                )
             }
             CodecError::Malformed { offset, what } => {
                 write!(f, "malformed {what} at byte {offset}")
@@ -144,6 +160,10 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
+fn malformed(offset: usize, what: &'static str) -> CodecError {
+    CodecError::Malformed { offset, what }
+}
+
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -156,65 +176,13 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+fn put_bits(out: &mut Vec<u8>, bits: u64) {
+    out.extend_from_slice(&bits.to_le_bytes());
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_cfg(out: &mut Vec<u8>, c: CfgPoint) {
-    put_varint(out, u64::from(c.cu));
-    put_varint(out, u64::from(c.cu_mhz));
-    put_varint(out, u64::from(c.mem_mhz));
-}
-
-fn put_counters(out: &mut Vec<u8>, c: &CounterSample) {
-    put_f64(out, c.duration.value());
-    put_f64(out, c.valu_busy_pct);
-    put_f64(out, c.valu_utilization_pct);
-    put_f64(out, c.mem_unit_busy_pct);
-    put_f64(out, c.mem_unit_stalled_pct);
-    put_f64(out, c.write_unit_stalled_pct);
-    put_f64(out, c.norm_vgpr);
-    put_f64(out, c.norm_sgpr);
-    put_f64(out, c.ic_activity);
-    put_varint(out, c.valu_insts);
-    put_varint(out, c.vfetch_insts);
-    put_varint(out, c.vwrite_insts);
-    put_f64(out, c.dram_bytes);
-    put_f64(out, c.achieved_bw_gbps);
-    put_f64(out, c.occupancy_fraction);
-    put_f64(out, c.l2_hit_rate);
-}
-
-/// The encoder's kernel-name table: a name's id is its first-seen
-/// position. Found by scanning, not hashing: a session names 1–3 kernels
-/// (the assumption `KernelMap` rests on), and events recorded from one
-/// profile share its allocation, so the pointer test settles nearly every
-/// lookup before any byte is compared. A stream naming hundreds of
-/// distinct kernels would want an index instead.
-#[derive(Default)]
-struct Interner<'a> {
-    names: Vec<&'a str>,
-}
-
-impl<'a> Interner<'a> {
-    fn put_kernel(&mut self, out: &mut Vec<u8>, name: &'a str) {
-        let known = self.names.iter().position(|n| {
-            n.len() == name.len() && (n.as_ptr() == name.as_ptr() || *n == name)
-        });
-        match known {
-            Some(id) => put_varint(out, id as u64),
-            None => {
-                put_varint(out, self.names.len() as u64);
-                put_str(out, name);
-                self.names.push(name);
-            }
-        }
-    }
 }
 
 /// The minimal format version able to express `events`. Streams without
@@ -235,95 +203,78 @@ fn minimal_version(events: &[SessionEvent]) -> u16 {
 /// canonical: the same events always produce the same bytes, and the
 /// header carries the minimal version those events need.
 pub fn encode(events: &[SessionEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + events.len() * 64);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&minimal_version(events).to_le_bytes());
-    put_varint(&mut out, events.len() as u64);
-    let mut interner = Interner::default();
+    let mut w = Writer {
+        out: Vec::with_capacity(16 + events.len() * 64),
+        names: Vec::new(),
+    };
+    w.out.extend_from_slice(&MAGIC);
+    w.out
+        .extend_from_slice(&minimal_version(events).to_le_bytes());
+    put_varint(&mut w.out, events.len() as u64);
     for event in events {
-        match event {
-            SessionEvent::SessionStart { app, policy, fault_seed } => {
-                out.push(TAG_SESSION_START);
-                put_str(&mut out, app);
-                put_str(&mut out, policy);
-                put_varint(&mut out, *fault_seed);
+        // The tag leads the event; the field list hands it back last.
+        let at = w.out.len();
+        w.out.push(0);
+        w.out[at] = event.fields(&mut w);
+    }
+    w.out
+}
+
+/// The encoder: the stream so far and its kernel-name table, where a
+/// name's id is its first-seen position. Names are found by scanning, not
+/// hashing: a session names 1–3 kernels (the assumption `KernelMap` rests
+/// on), and events recorded from one profile share its allocation, so the
+/// pointer test settles nearly every lookup before any byte is compared. A
+/// stream naming hundreds of distinct kernels would want an index instead.
+struct Writer<'a> {
+    out: Vec<u8>,
+    names: Vec<&'a str>,
+}
+
+impl<'a> FieldVisitor<'a> for Writer<'a> {
+    #[inline(always)]
+    fn field(&mut self, _: &'static str, field: FieldRef<'a>) {
+        let out = &mut self.out;
+        match field {
+            FieldRef::Kernel(name) => {
+                let known = self.names.iter().position(|n| {
+                    n.len() == name.len() && (n.as_ptr() == name.as_ptr() || *n == name)
+                });
+                put_varint(out, known.unwrap_or(self.names.len()) as u64);
+                if known.is_none() {
+                    put_str(out, name);
+                    self.names.push(name);
+                }
             }
-            SessionEvent::Decision { kernel, iteration, cfg } => {
-                out.push(TAG_DECISION);
-                interner.put_kernel(&mut out, kernel);
-                put_varint(&mut out, *iteration);
-                put_cfg(&mut out, *cfg);
+            FieldRef::Str(s) => put_str(out, s),
+            FieldRef::Int(v) => put_varint(out, v),
+            FieldRef::Float(v) => put_bits(out, v.to_bits()),
+            FieldRef::Cfg(c) => {
+                for v in [c.cu, c.cu_mhz, c.mem_mhz] {
+                    put_varint(out, u64::from(v));
+                }
             }
-            SessionEvent::Actuation { kernel, iteration, kind, wanted, actual } => {
-                out.push(TAG_ACTUATION);
-                interner.put_kernel(&mut out, kernel);
-                put_varint(&mut out, *iteration);
-                out.push(kind.code());
-                put_cfg(&mut out, *wanted);
-                put_cfg(&mut out, *actual);
+            FieldRef::Counters(c) => {
+                for counter in counter_values(c) {
+                    match counter {
+                        Counter::F64(bits) => put_bits(out, bits),
+                        Counter::Int(v) => put_varint(out, v),
+                    }
+                }
             }
-            SessionEvent::ActuationResolved {
-                kernel,
-                iteration,
-                outcome,
-                attempts,
-                kinds,
-                wanted,
-                actual,
-            } => {
-                out.push(TAG_ACTUATION_RESOLVED);
-                interner.put_kernel(&mut out, kernel);
-                put_varint(&mut out, *iteration);
-                out.push(outcome.code());
-                put_varint(&mut out, u64::from(outcome.param()));
-                put_varint(&mut out, u64::from(*attempts));
-                put_varint(&mut out, kinds.len() as u64);
+            FieldRef::Fault(kind) => out.push(kind.code()),
+            FieldRef::Faults(kinds) => {
+                put_varint(out, kinds.len() as u64);
                 for kind in kinds {
                     out.push(kind.code());
                 }
-                put_cfg(&mut out, *wanted);
-                put_cfg(&mut out, *actual);
             }
-            SessionEvent::Sample {
-                kernel,
-                iteration,
-                cfg,
-                time_s,
-                counters,
-                stepped_waves,
-                fast_forwarded_waves,
-            } => {
-                out.push(TAG_SAMPLE);
-                interner.put_kernel(&mut out, kernel);
-                put_varint(&mut out, *iteration);
-                put_cfg(&mut out, *cfg);
-                put_f64(&mut out, *time_s);
-                put_counters(&mut out, counters);
-                put_varint(&mut out, *stepped_waves);
-                put_varint(&mut out, *fast_forwarded_waves);
-            }
-            SessionEvent::Conditioned { kernel, iteration, time_s, counters } => {
-                out.push(TAG_CONDITIONED);
-                interner.put_kernel(&mut out, kernel);
-                put_varint(&mut out, *iteration);
-                put_f64(&mut out, *time_s);
-                put_counters(&mut out, counters);
-            }
-            SessionEvent::SessionEnd {
-                total_time_s,
-                card_energy_j,
-                gpu_energy_j,
-                mem_energy_j,
-            } => {
-                out.push(TAG_SESSION_END);
-                put_f64(&mut out, *total_time_s);
-                put_f64(&mut out, *card_energy_j);
-                put_f64(&mut out, *gpu_energy_j);
-                put_f64(&mut out, *mem_energy_j);
+            FieldRef::Outcome(outcome) => {
+                out.push(outcome.code());
+                put_varint(out, u64::from(outcome.param()));
             }
         }
     }
-    out
 }
 
 struct Reader<'a> {
@@ -337,7 +288,10 @@ impl<'a> Reader<'a> {
         let end = start
             .checked_add(n)
             .filter(|&e| e <= self.bytes.len())
-            .ok_or(CodecError::Truncated { offset: start, last_event: None })?;
+            .ok_or(CodecError::Truncated {
+                offset: start,
+                last_event: None,
+            })?;
         self.pos = end;
         Ok(&self.bytes[start..end])
     }
@@ -353,40 +307,35 @@ impl<'a> Reader<'a> {
             let byte = self.u8()?;
             let part = u64::from(byte & 0x7f);
             if shift == 63 && part > 1 {
-                return Err(CodecError::Malformed { offset, what: "varint (overflow)" });
+                return Err(malformed(offset, "varint (overflow)"));
             }
             v |= part << shift;
             if byte & 0x80 == 0 {
                 return Ok(v);
             }
         }
-        Err(CodecError::Malformed { offset, what: "varint (too long)" })
+        Err(malformed(offset, "varint (too long)"))
     }
 
     fn u32(&mut self) -> Result<u32, CodecError> {
         let offset = self.pos;
-        u32::try_from(self.varint()?)
-            .map_err(|_| CodecError::Malformed { offset, what: "u32 out of range" })
+        u32::try_from(self.varint()?).map_err(|_| malformed(offset, "u32 out of range"))
     }
 
     fn f64(&mut self) -> Result<f64, CodecError> {
         let raw = self.take(8)?;
-        Ok(f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes"))))
+        Ok(f64::from_bits(u64::from_le_bytes(
+            raw.try_into().expect("8 bytes"),
+        )))
     }
 
     fn str(&mut self) -> Result<&'a str, CodecError> {
         let len_offset = self.pos;
         let len = self.varint()?;
-        let len = usize::try_from(len)
-            .map_err(|_| CodecError::Malformed { offset: len_offset, what: "string length" })?;
+        let len = usize::try_from(len).map_err(|_| malformed(len_offset, "string length"))?;
         let offset = self.pos;
         let raw = self.take(len)?;
-        std::str::from_utf8(raw)
-            .map_err(|_| CodecError::Malformed { offset, what: "string (invalid UTF-8)" })
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        self.str().map(str::to_owned)
+        std::str::from_utf8(raw).map_err(|_| malformed(offset, "string (invalid UTF-8)"))
     }
 
     fn kernel(&mut self, table: &mut Vec<Arc<str>>) -> Result<Arc<str>, CodecError> {
@@ -435,16 +384,25 @@ impl<'a> Reader<'a> {
     fn fault_kind(&mut self) -> Result<FaultKind, CodecError> {
         let offset = self.pos;
         let code = self.u8()?;
-        FaultKind::from_code(code)
-            .ok_or(CodecError::Malformed { offset, what: "fault-kind code" })
+        FaultKind::from_code(code).ok_or(malformed(offset, "fault-kind code"))
+    }
+
+    fn fault_kinds(&mut self) -> Result<Vec<FaultKind>, CodecError> {
+        let offset = self.pos;
+        let n =
+            usize::try_from(self.varint()?).map_err(|_| malformed(offset, "fault-kind count"))?;
+        let mut kinds = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            kinds.push(self.fault_kind()?);
+        }
+        Ok(kinds)
     }
 
     fn outcome(&mut self) -> Result<ActuationOutcome, CodecError> {
         let offset = self.pos;
         let code = self.u8()?;
         let param = self.u32()?;
-        ActuationOutcome::from_code(code, param)
-            .ok_or(CodecError::Malformed { offset, what: "actuation-outcome code" })
+        ActuationOutcome::from_code(code, param).ok_or(malformed(offset, "actuation-outcome code"))
     }
 }
 
@@ -463,7 +421,10 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SessionEvent>, CodecError> {
     }
     let version = u16::from_le_bytes(
         r.take(2)
-            .map_err(|_| CodecError::Truncated { offset: MAGIC.len(), last_event: None })?
+            .map_err(|_| CodecError::Truncated {
+                offset: MAGIC.len(),
+                last_event: None,
+            })?
             .try_into()
             .expect("2 bytes"),
     );
@@ -474,8 +435,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SessionEvent>, CodecError> {
         });
     }
     let count = r.varint()?;
-    let count = usize::try_from(count)
-        .map_err(|_| CodecError::Malformed { offset: 10, what: "event count" })?;
+    let count = usize::try_from(count).map_err(|_| malformed(10, "event count"))?;
     let mut table: Vec<Arc<str>> = Vec::new();
     let mut events: Vec<SessionEvent> = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
@@ -484,8 +444,8 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SessionEvent>, CodecError> {
             let tag = r.u8()?;
             Ok(match tag {
                 TAG_SESSION_START => SessionEvent::SessionStart {
-                    app: r.string()?,
-                    policy: r.string()?,
+                    app: r.str()?.to_owned(),
+                    policy: r.str()?.to_owned(),
                     fault_seed: r.varint()?,
                 },
                 TAG_DECISION => SessionEvent::Decision {
@@ -501,26 +461,12 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SessionEvent>, CodecError> {
                     actual: r.cfg()?,
                 },
                 TAG_ACTUATION_RESOLVED if version >= VERSION_ACTUATION_RESOLVED => {
-                    let kernel = r.kernel(&mut table)?;
-                    let iteration = r.varint()?;
-                    let outcome = r.outcome()?;
-                    let attempts = r.u32()?;
-                    let kinds_offset = r.pos;
-                    let n = r.varint()?;
-                    let n = usize::try_from(n).map_err(|_| CodecError::Malformed {
-                        offset: kinds_offset,
-                        what: "fault-kind count",
-                    })?;
-                    let mut kinds = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        kinds.push(r.fault_kind()?);
-                    }
                     SessionEvent::ActuationResolved {
-                        kernel,
-                        iteration,
-                        outcome,
-                        attempts,
-                        kinds,
+                        kernel: r.kernel(&mut table)?,
+                        iteration: r.varint()?,
+                        outcome: r.outcome()?,
+                        attempts: r.u32()?,
+                        kinds: r.fault_kinds()?,
                         wanted: r.cfg()?,
                         actual: r.cfg()?,
                     }
@@ -546,13 +492,21 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SessionEvent>, CodecError> {
                     gpu_energy_j: r.f64()?,
                     mem_energy_j: r.f64()?,
                 },
-                tag => return Err(CodecError::BadTag { tag, offset: tag_offset }),
+                tag => {
+                    return Err(CodecError::BadTag {
+                        tag,
+                        offset: tag_offset,
+                    })
+                }
             })
         })();
         // A truncation mid-event is only diagnosable with a landmark:
         // stamp in the last event that decoded completely.
         let event = decoded.map_err(|e| match e {
-            CodecError::Truncated { offset, last_event: None } => CodecError::Truncated {
+            CodecError::Truncated {
+                offset,
+                last_event: None,
+            } => CodecError::Truncated {
                 offset,
                 last_event: events.last().map(|ev| (events.len() - 1, ev.label())),
             },
@@ -571,20 +525,32 @@ mod tests {
     use super::*;
 
     fn events() -> Vec<SessionEvent> {
-        let cfg = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 };
+        let cfg = CfgPoint {
+            cu: 32,
+            cu_mhz: 1000,
+            mem_mhz: 1375,
+        };
         vec![
             SessionEvent::SessionStart {
                 app: "Graph500".into(),
                 policy: "hardened:capped".into(),
                 fault_seed: 0xFA17,
             },
-            SessionEvent::Decision { kernel: "BFS".into(), iteration: 0, cfg },
+            SessionEvent::Decision {
+                kernel: "BFS".into(),
+                iteration: 0,
+                cfg,
+            },
             SessionEvent::Actuation {
                 kernel: "BFS".into(),
                 iteration: 0,
                 kind: FaultKind::ThermalThrottle,
                 wanted: cfg,
-                actual: CfgPoint { cu: 32, cu_mhz: 500, mem_mhz: 1375 },
+                actual: CfgPoint {
+                    cu: 32,
+                    cu_mhz: 500,
+                    mem_mhz: 1375,
+                },
             },
             SessionEvent::Sample {
                 kernel: "BFS".into(),
@@ -657,7 +623,10 @@ mod tests {
         for cut in [bytes.len() - 1, bytes.len() / 2, 11] {
             let err = decode(&bytes[..cut]).expect_err("truncated stream must fail");
             assert!(
-                matches!(err, CodecError::Truncated { .. } | CodecError::Malformed { .. }),
+                matches!(
+                    err,
+                    CodecError::Truncated { .. } | CodecError::Malformed { .. }
+                ),
                 "cut at {cut}: {err:?}"
             );
         }
@@ -667,12 +636,19 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode(&events());
         bytes.push(0);
-        assert!(matches!(decode(&bytes), Err(CodecError::TrailingBytes { .. })));
+        assert!(matches!(
+            decode(&bytes),
+            Err(CodecError::TrailingBytes { .. })
+        ));
     }
 
     #[test]
     fn interning_pays_off_for_repeated_kernels() {
-        let cfg = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 };
+        let cfg = CfgPoint {
+            cu: 32,
+            cu_mhz: 1000,
+            mem_mhz: 1375,
+        };
         let repeated: Vec<SessionEvent> = (0..64)
             .map(|i| SessionEvent::Decision {
                 kernel: "a-rather-long-kernel-name".into(),
@@ -699,7 +675,11 @@ mod tests {
 
     #[test]
     fn names_intern_by_value_and_decode_to_one_allocation() {
-        let cfg = CfgPoint { cu: 8, cu_mhz: 100, mem_mhz: 120 };
+        let cfg = CfgPoint {
+            cu: 8,
+            cu_mhz: 100,
+            mem_mhz: 120,
+        };
         let decision = |kernel: &Arc<str>, iteration| SessionEvent::Decision {
             kernel: kernel.clone(),
             iteration,
@@ -737,20 +717,40 @@ mod tests {
             iteration: 2,
             outcome: ActuationOutcome::Retried(3),
             attempts: 4,
-            kinds: vec![FaultKind::DvfsDeny, FaultKind::DvfsDelay, FaultKind::DvfsDeny],
-            wanted: CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 },
-            actual: CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 },
+            kinds: vec![
+                FaultKind::DvfsDeny,
+                FaultKind::DvfsDelay,
+                FaultKind::DvfsDeny,
+            ],
+            wanted: CfgPoint {
+                cu: 32,
+                cu_mhz: 1000,
+                mem_mhz: 1375,
+            },
+            actual: CfgPoint {
+                cu: 32,
+                cu_mhz: 1000,
+                mem_mhz: 1375,
+            },
         }
     }
 
     #[test]
     fn sessions_without_resolved_actuations_still_encode_as_v1() {
         let bytes = encode(&events());
-        assert_eq!(bytes[8..10], 1u16.to_le_bytes(), "minimal version must be v1");
+        assert_eq!(
+            bytes[8..10],
+            1u16.to_le_bytes(),
+            "minimal version must be v1"
+        );
         let mut evs = events();
         evs.insert(2, resolved("BFS"));
         let bytes = encode(&evs);
-        assert_eq!(bytes[8..10], 2u16.to_le_bytes(), "resolved actuation needs v2");
+        assert_eq!(
+            bytes[8..10],
+            2u16.to_le_bytes(),
+            "resolved actuation needs v2"
+        );
     }
 
     #[test]
@@ -765,8 +765,16 @@ mod tests {
                 outcome: ActuationOutcome::RolledBack,
                 attempts: 5,
                 kinds: vec![FaultKind::DvfsNeighbor],
-                wanted: CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 },
-                actual: CfgPoint { cu: 24, cu_mhz: 850, mem_mhz: 1375 },
+                wanted: CfgPoint {
+                    cu: 32,
+                    cu_mhz: 1000,
+                    mem_mhz: 1375,
+                },
+                actual: CfgPoint {
+                    cu: 24,
+                    cu_mhz: 850,
+                    mem_mhz: 1375,
+                },
             },
         );
         let bytes = encode(&evs);
@@ -792,7 +800,10 @@ mod tests {
         let bytes = encode(&events());
         let err = decode(&bytes[..bytes.len() - 1]).expect_err("truncated");
         match err {
-            CodecError::Truncated { last_event: Some((index, label)), .. } => {
+            CodecError::Truncated {
+                last_event: Some((index, label)),
+                ..
+            } => {
                 // The cut lands inside the session-end footer; the last
                 // complete event is the conditioned record before it.
                 assert_eq!((index, label), (4, "conditioned"));
@@ -803,7 +814,9 @@ mod tests {
         assert!(display.contains("#4 conditioned"), "{display}");
         // A cut inside the first event has no landmark.
         match decode(&bytes[..12]).expect_err("truncated header") {
-            CodecError::Truncated { last_event: None, .. } => {}
+            CodecError::Truncated {
+                last_event: None, ..
+            } => {}
             other => panic!("expected landmark-free truncation, got {other:?}"),
         }
     }

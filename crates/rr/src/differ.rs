@@ -103,7 +103,11 @@ mod tests {
         SessionEvent::Decision {
             kernel: "k".into(),
             iteration: i,
-            cfg: CfgPoint { cu, cu_mhz: 1000, mem_mhz: 1375 },
+            cfg: CfgPoint {
+                cu,
+                cu_mhz: 1000,
+                mem_mhz: 1375,
+            },
         }
     }
 
@@ -141,13 +145,42 @@ mod tests {
     }
 
     #[test]
+    fn integer_counter_deltas_print_as_integers() {
+        let sample = |valu_insts| SessionEvent::Sample {
+            kernel: "k".into(),
+            iteration: 0,
+            cfg: CfgPoint {
+                cu: 32,
+                cu_mhz: 1000,
+                mem_mhz: 1375,
+            },
+            time_s: 1e-3,
+            counters: harmonia_sim::CounterSample {
+                valu_insts,
+                ..Default::default()
+            },
+            stepped_waves: 0,
+            fast_forwarded_waves: 0,
+        };
+        let (a, b) = ([sample(1_000_000)], [sample(1_000_001)]);
+        let rendered = first_divergence(&a, &b).expect("must diverge").render();
+        assert!(
+            rendered.ends_with("\n  delta: counters.valu_insts: 1000000 != 1000001"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
     fn render_names_the_divergent_field() {
         let a: Vec<SessionEvent> = (0..6).map(|i| decision(i, 32)).collect();
         let mut b = a.clone();
         b[5] = decision(5, 24);
         let d = first_divergence(&a, &b).expect("must diverge");
         let rendered = d.render();
-        assert!(rendered.contains("first divergence at event #5"), "{rendered}");
+        assert!(
+            rendered.contains("first divergence at event #5"),
+            "{rendered}"
+        );
         assert!(rendered.contains("delta: cfg:"), "{rendered}");
         assert!(rendered.contains("context #4"), "{rendered}");
     }

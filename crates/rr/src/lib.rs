@@ -25,6 +25,13 @@
 //!   ([`differ::first_divergence`]), replacing byte-compares with an
 //!   actionable "first divergent event + context" failure.
 //!
+//! Each variant's fields are listed once, in codec order, over a closed set
+//! of field kinds (kernel name, string, integer, float, configuration,
+//! counter sample, fault kind, fault-kind list, actuation outcome). The
+//! encoder, bitwise equality, [`SessionEvent::field_diffs`], `kernel()` and
+//! `configs()` walk that list; only the decoder and `Display` are written
+//! per variant.
+//!
 //! What is **not** recorded: governor decisions are re-derived live during
 //! replay (they are pure functions of the observed counters), but each
 //! decision *is* written to the trace so the differ can localize a
@@ -38,6 +45,10 @@ pub use codec::{decode, encode, CodecError, FORMAT_VERSION};
 pub use differ::{diff_report, first_divergence, Divergence};
 pub use model::ReplayModel;
 
+use codec::{
+    LABELS, TAG_ACTUATION, TAG_ACTUATION_RESOLVED, TAG_CONDITIONED, TAG_DECISION, TAG_SAMPLE,
+    TAG_SESSION_END, TAG_SESSION_START,
+};
 use harmonia_sim::model::FastForwardStats;
 use harmonia_sim::{ActuationOutcome, CounterSample, FaultKind, SimResult};
 use harmonia_types::{GridSpec, HwConfig, Seconds};
@@ -160,386 +171,238 @@ pub enum SessionEvent {
     },
 }
 
-/// Bitwise float equality: NaN == NaN (same payload), -0.0 != 0.0.
-pub(crate) fn f64_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
+/// One field of a [`SessionEvent`], borrowed from it. Each kind has one
+/// wire form ([`codec::encode`]), one equality (bitwise on floats) and one
+/// rendering. A `Kernel` is interned on the wire, a `Str` written inline.
+#[derive(Clone, Copy)]
+pub(crate) enum FieldRef<'a> {
+    Kernel(&'a str),
+    Str(&'a str),
+    Int(u64),
+    Float(f64),
+    Cfg(CfgPoint),
+    Counters(&'a CounterSample),
+    Fault(FaultKind),
+    Faults(&'a [FaultKind]),
+    Outcome(ActuationOutcome),
 }
 
-/// The counter tuple flattened to its bit pattern, in codec field order.
-/// Shared by the bitwise comparison and the field-naming differ.
-pub(crate) fn counter_bits(c: &CounterSample) -> [u64; 16] {
-    [
-        c.duration.value().to_bits(),
-        c.valu_busy_pct.to_bits(),
-        c.valu_utilization_pct.to_bits(),
-        c.mem_unit_busy_pct.to_bits(),
-        c.mem_unit_stalled_pct.to_bits(),
-        c.write_unit_stalled_pct.to_bits(),
-        c.norm_vgpr.to_bits(),
-        c.norm_sgpr.to_bits(),
-        c.ic_activity.to_bits(),
-        c.valu_insts,
-        c.vfetch_insts,
-        c.vwrite_insts,
-        c.dram_bytes.to_bits(),
-        c.achieved_bw_gbps.to_bits(),
-        c.occupancy_fraction.to_bits(),
-        c.l2_hit_rate.to_bits(),
-    ]
+impl PartialEq for FieldRef<'_> {
+    // Inlined into `SameAs`, where one side's kind is a constant.
+    #[inline(always)]
+    fn eq(&self, other: &Self) -> bool {
+        use FieldRef::*;
+        match (*self, *other) {
+            (Kernel(a), Kernel(b)) | (Str(a), Str(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Cfg(a), Cfg(b)) => a == b,
+            (Counters(a), Counters(b)) => counters_eq(a, b),
+            (Fault(a), Fault(b)) => a == b,
+            (Faults(a), Faults(b)) => a == b,
+            (Outcome(a), Outcome(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
-/// Counter field names in [`counter_bits`] order, for divergence messages.
-pub(crate) const COUNTER_FIELDS: [&str; 16] = [
-    "duration",
-    "valu_busy_pct",
-    "valu_utilization_pct",
-    "mem_unit_busy_pct",
-    "mem_unit_stalled_pct",
-    "write_unit_stalled_pct",
-    "norm_vgpr",
-    "norm_sgpr",
-    "ic_activity",
-    "valu_insts",
-    "vfetch_insts",
-    "vwrite_insts",
-    "dram_bytes",
-    "achieved_bw_gbps",
-    "occupancy_fraction",
-    "l2_hit_rate",
-];
+/// How the differ prints a field: floats in `{:e}` form, fault kinds and
+/// outcomes by label (`retried(3)` carries its count), kind lists as
+/// `[deny,delay]`.
+impl fmt::Display for FieldRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FieldRef::Kernel(s) | FieldRef::Str(s) => f.write_str(s),
+            FieldRef::Int(v) => write!(f, "{v}"),
+            FieldRef::Float(v) => write!(f, "{v:e}"),
+            FieldRef::Cfg(c) => write!(f, "{c}"),
+            FieldRef::Counters(c) => write!(f, "{c:?}"),
+            FieldRef::Fault(kind) => f.write_str(kind.label()),
+            FieldRef::Faults(kinds) => {
+                let labels: Vec<&str> = kinds.iter().map(|kind| kind.label()).collect();
+                write!(f, "[{}]", labels.join(","))
+            }
+            FieldRef::Outcome(ActuationOutcome::Retried(n)) => write!(f, "retried({n})"),
+            FieldRef::Outcome(outcome) => f.write_str(outcome.label()),
+        }
+    }
+}
+
+/// The most fields any variant has.
+const MAX_FIELDS: usize = 7;
+
+/// An event's tag and `(name, field)` pairs, collected from
+/// [`SessionEvent::fields`]. Entries past the event's fields are
+/// `("", Int(0))`: no scan matches them, and they compare equal.
+pub(crate) struct Fields<'a> {
+    pub(crate) tag: u8,
+    len: usize,
+    list: [(&'static str, FieldRef<'a>); MAX_FIELDS],
+}
+
+/// Receives an event's fields in codec order from [`SessionEvent::fields`].
+/// Implementations inline `field` always: at each call there the field's
+/// kind is a constant, so the match on it folds away and a visitor runs as
+/// fast as code written per variant.
+pub(crate) trait FieldVisitor<'a> {
+    fn field(&mut self, name: &'static str, field: FieldRef<'a>);
+}
+
+impl<'a> Fields<'a> {
+    fn of(event: &'a SessionEvent) -> Self {
+        let mut fields = Self {
+            tag: 0,
+            len: 0,
+            list: [("", FieldRef::Int(0)); MAX_FIELDS],
+        };
+        fields.tag = event.fields(&mut fields);
+        fields
+    }
+}
+
+impl<'a> FieldVisitor<'a> for Fields<'a> {
+    #[inline(always)]
+    fn field(&mut self, name: &'static str, field: FieldRef<'a>) {
+        self.list[self.len] = (name, field);
+        self.len += 1;
+    }
+}
+
+/// Compares an event's fields, as they are visited, with another's.
+struct SameAs<'a> {
+    theirs: Fields<'a>,
+    at: usize,
+    same: bool,
+}
+
+impl<'a> FieldVisitor<'a> for SameAs<'a> {
+    #[inline(always)]
+    fn field(&mut self, _: &'static str, field: FieldRef<'a>) {
+        self.same &= field == self.theirs.list[self.at].1;
+        self.at += 1;
+    }
+}
+
+/// One counter's value: an `f64`'s bit pattern, or an integer (a varint on
+/// the wire). Equality is on the bits.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Counter {
+    F64(u64),
+    Int(u64),
+}
+
+impl fmt::Display for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Counter::F64(bits) => write!(f, "{}", f64::from_bits(bits)),
+            Counter::Int(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// Hands `CounterSample`'s sixteen fields to `field` in codec order, each
+/// named and read as `f64` bits or an integer: the one list the encoder,
+/// equality and the differ read.
+pub(crate) fn counter_fields(c: &CounterSample, mut field: impl FnMut(&'static str, Counter)) {
+    use Counter::{Int, F64};
+    field("duration", F64(c.duration.value().to_bits()));
+    field("valu_busy_pct", F64(c.valu_busy_pct.to_bits()));
+    field(
+        "valu_utilization_pct",
+        F64(c.valu_utilization_pct.to_bits()),
+    );
+    field("mem_unit_busy_pct", F64(c.mem_unit_busy_pct.to_bits()));
+    field(
+        "mem_unit_stalled_pct",
+        F64(c.mem_unit_stalled_pct.to_bits()),
+    );
+    field(
+        "write_unit_stalled_pct",
+        F64(c.write_unit_stalled_pct.to_bits()),
+    );
+    field("norm_vgpr", F64(c.norm_vgpr.to_bits()));
+    field("norm_sgpr", F64(c.norm_sgpr.to_bits()));
+    field("ic_activity", F64(c.ic_activity.to_bits()));
+    field("valu_insts", Int(c.valu_insts));
+    field("vfetch_insts", Int(c.vfetch_insts));
+    field("vwrite_insts", Int(c.vwrite_insts));
+    field("dram_bytes", F64(c.dram_bytes.to_bits()));
+    field("achieved_bw_gbps", F64(c.achieved_bw_gbps.to_bits()));
+    field("occupancy_fraction", F64(c.occupancy_fraction.to_bits()));
+    field("l2_hit_rate", F64(c.l2_hit_rate.to_bits()));
+}
+
+/// The counter tuple's values, in codec order.
+pub(crate) fn counter_values(c: &CounterSample) -> [Counter; 16] {
+    let (mut values, mut i) = ([Counter::Int(0); 16], 0);
+    counter_fields(c, |_, value| {
+        values[i] = value;
+        i += 1;
+    });
+    values
+}
 
 /// Bitwise equality over the whole counter tuple.
 pub fn counters_eq(a: &CounterSample, b: &CounterSample) -> bool {
-    counter_bits(a) == counter_bits(b)
+    counter_values(a) == counter_values(b)
 }
 
 impl PartialEq for SessionEvent {
     fn eq(&self, other: &Self) -> bool {
-        use SessionEvent::*;
-        match (self, other) {
-            (
-                SessionStart { app: a1, policy: p1, fault_seed: s1 },
-                SessionStart { app: a2, policy: p2, fault_seed: s2 },
-            ) => a1 == a2 && p1 == p2 && s1 == s2,
-            (
-                Decision { kernel: k1, iteration: i1, cfg: c1 },
-                Decision { kernel: k2, iteration: i2, cfg: c2 },
-            ) => k1 == k2 && i1 == i2 && c1 == c2,
-            (
-                Actuation { kernel: k1, iteration: i1, kind: f1, wanted: w1, actual: a1 },
-                Actuation { kernel: k2, iteration: i2, kind: f2, wanted: w2, actual: a2 },
-            ) => k1 == k2 && i1 == i2 && f1 == f2 && w1 == w2 && a1 == a2,
-            (
-                ActuationResolved {
-                    kernel: k1,
-                    iteration: i1,
-                    outcome: o1,
-                    attempts: t1,
-                    kinds: f1,
-                    wanted: w1,
-                    actual: a1,
-                },
-                ActuationResolved {
-                    kernel: k2,
-                    iteration: i2,
-                    outcome: o2,
-                    attempts: t2,
-                    kinds: f2,
-                    wanted: w2,
-                    actual: a2,
-                },
-            ) => k1 == k2 && i1 == i2 && o1 == o2 && t1 == t2 && f1 == f2 && w1 == w2 && a1 == a2,
-            (
-                Sample {
-                    kernel: k1,
-                    iteration: i1,
-                    cfg: c1,
-                    time_s: t1,
-                    counters: n1,
-                    stepped_waves: s1,
-                    fast_forwarded_waves: f1,
-                },
-                Sample {
-                    kernel: k2,
-                    iteration: i2,
-                    cfg: c2,
-                    time_s: t2,
-                    counters: n2,
-                    stepped_waves: s2,
-                    fast_forwarded_waves: f2,
-                },
-            ) => {
-                k1 == k2
-                    && i1 == i2
-                    && c1 == c2
-                    && f64_eq(*t1, *t2)
-                    && counters_eq(n1, n2)
-                    && s1 == s2
-                    && f1 == f2
-            }
-            (
-                Conditioned { kernel: k1, iteration: i1, time_s: t1, counters: n1 },
-                Conditioned { kernel: k2, iteration: i2, time_s: t2, counters: n2 },
-            ) => k1 == k2 && i1 == i2 && f64_eq(*t1, *t2) && counters_eq(n1, n2),
-            (
-                SessionEnd { total_time_s: t1, card_energy_j: c1, gpu_energy_j: g1, mem_energy_j: m1 },
-                SessionEnd { total_time_s: t2, card_energy_j: c2, gpu_energy_j: g2, mem_energy_j: m2 },
-            ) => f64_eq(*t1, *t2) && f64_eq(*c1, *c2) && f64_eq(*g1, *g2) && f64_eq(*m1, *m2),
-            _ => false,
-        }
+        let mut cmp = SameAs {
+            theirs: Fields::of(other),
+            at: 0,
+            same: true,
+        };
+        let tag = self.fields(&mut cmp);
+        cmp.same && tag == cmp.theirs.tag
     }
 }
 
 impl Eq for SessionEvent {}
 
 impl SessionEvent {
-    /// Short stable label of the event variant.
-    pub fn label(&self) -> &'static str {
+    /// Hands the event's fields to `v` as `(name, value)` pairs in codec
+    /// order and returns its wire tag — the one place a variant's fields are
+    /// listed.
+    pub(crate) fn fields<'a>(&'a self, v: &mut impl FieldVisitor<'a>) -> u8 {
+        use FieldRef::*;
         match self {
-            SessionEvent::SessionStart { .. } => "session-start",
-            SessionEvent::Decision { .. } => "decision",
-            SessionEvent::Actuation { .. } => "actuation",
-            SessionEvent::ActuationResolved { .. } => "actuation-resolved",
-            SessionEvent::Sample { .. } => "sample",
-            SessionEvent::Conditioned { .. } => "conditioned",
-            SessionEvent::SessionEnd { .. } => "session-end",
-        }
-    }
-
-    /// The kernel this event belongs to, when it has one.
-    pub fn kernel(&self) -> Option<&str> {
-        match self {
-            SessionEvent::Decision { kernel, .. }
-            | SessionEvent::Actuation { kernel, .. }
-            | SessionEvent::ActuationResolved { kernel, .. }
-            | SessionEvent::Sample { kernel, .. }
-            | SessionEvent::Conditioned { kernel, .. } => Some(kernel),
-            _ => None,
-        }
-    }
-
-    /// Names the fields where `self` and `other` differ (bitwise for
-    /// floats), as `field: self-value != other-value` strings. Empty when
-    /// equal; a single variant-mismatch entry when the kinds differ.
-    pub fn field_diffs(&self, other: &Self) -> Vec<String> {
-        use SessionEvent::*;
-        let mut out = Vec::new();
-        match (self, other) {
-            (
-                SessionStart { app: a1, policy: p1, fault_seed: s1 },
-                SessionStart { app: a2, policy: p2, fault_seed: s2 },
-            ) => {
-                if a1 != a2 {
-                    push_diff(&mut out, "app", a1.clone(), a2.clone());
-                }
-                if p1 != p2 {
-                    push_diff(&mut out, "policy", p1.clone(), p2.clone());
-                }
-                if s1 != s2 {
-                    push_diff(&mut out, "fault_seed", s1.to_string(), s2.to_string());
-                }
+            Self::SessionStart {
+                app,
+                policy,
+                fault_seed,
+            } => {
+                v.field("app", Str(app));
+                v.field("policy", Str(policy));
+                v.field("fault_seed", Int(*fault_seed));
+                TAG_SESSION_START
             }
-            (
-                Decision { kernel: k1, iteration: i1, cfg: c1 },
-                Decision { kernel: k2, iteration: i2, cfg: c2 },
-            ) => {
-                if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
-                }
-                if i1 != i2 {
-                    push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
-                }
-                if c1 != c2 {
-                    push_diff(&mut out, "cfg", c1.to_string(), c2.to_string());
-                }
+            Self::Decision {
+                kernel,
+                iteration,
+                cfg,
+            } => {
+                v.field("kernel", Kernel(kernel));
+                v.field("iteration", Int(*iteration));
+                v.field("cfg", Cfg(*cfg));
+                TAG_DECISION
             }
-            (
-                Actuation { kernel: k1, iteration: i1, kind: f1, wanted: w1, actual: a1 },
-                Actuation { kernel: k2, iteration: i2, kind: f2, wanted: w2, actual: a2 },
-            ) => {
-                if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
-                }
-                if i1 != i2 {
-                    push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
-                }
-                if f1 != f2 {
-                    push_diff(&mut out, "kind", f1.label().to_string(), f2.label().to_string());
-                }
-                if w1 != w2 {
-                    push_diff(&mut out, "wanted", w1.to_string(), w2.to_string());
-                }
-                if a1 != a2 {
-                    push_diff(&mut out, "actual", a1.to_string(), a2.to_string());
-                }
+            Self::Actuation {
+                kernel,
+                iteration,
+                kind,
+                wanted,
+                actual,
+            } => {
+                v.field("kernel", Kernel(kernel));
+                v.field("iteration", Int(*iteration));
+                v.field("kind", Fault(*kind));
+                v.field("wanted", Cfg(*wanted));
+                v.field("actual", Cfg(*actual));
+                TAG_ACTUATION
             }
-            (
-                ActuationResolved {
-                    kernel: k1,
-                    iteration: i1,
-                    outcome: o1,
-                    attempts: t1,
-                    kinds: f1,
-                    wanted: w1,
-                    actual: a1,
-                },
-                ActuationResolved {
-                    kernel: k2,
-                    iteration: i2,
-                    outcome: o2,
-                    attempts: t2,
-                    kinds: f2,
-                    wanted: w2,
-                    actual: a2,
-                },
-            ) => {
-                if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
-                }
-                if i1 != i2 {
-                    push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
-                }
-                if o1 != o2 {
-                    push_diff(&mut out, "outcome", outcome_string(*o1), outcome_string(*o2));
-                }
-                if t1 != t2 {
-                    push_diff(&mut out, "attempts", t1.to_string(), t2.to_string());
-                }
-                if f1 != f2 {
-                    push_diff(&mut out, "kinds", kinds_string(f1), kinds_string(f2));
-                }
-                if w1 != w2 {
-                    push_diff(&mut out, "wanted", w1.to_string(), w2.to_string());
-                }
-                if a1 != a2 {
-                    push_diff(&mut out, "actual", a1.to_string(), a2.to_string());
-                }
-            }
-            (
-                Sample {
-                    kernel: k1,
-                    iteration: i1,
-                    cfg: c1,
-                    time_s: t1,
-                    counters: n1,
-                    stepped_waves: s1,
-                    fast_forwarded_waves: ff1,
-                },
-                Sample {
-                    kernel: k2,
-                    iteration: i2,
-                    cfg: c2,
-                    time_s: t2,
-                    counters: n2,
-                    stepped_waves: s2,
-                    fast_forwarded_waves: ff2,
-                },
-            ) => {
-                if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
-                }
-                if i1 != i2 {
-                    push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
-                }
-                if c1 != c2 {
-                    push_diff(&mut out, "cfg", c1.to_string(), c2.to_string());
-                }
-                if !f64_eq(*t1, *t2) {
-                    push_diff(&mut out, "time_s", format!("{t1:e}"), format!("{t2:e}"));
-                }
-                diff_counters(n1, n2, &mut out);
-                if s1 != s2 {
-                    push_diff(&mut out, "stepped_waves", s1.to_string(), s2.to_string());
-                }
-                if ff1 != ff2 {
-                    push_diff(&mut out, "fast_forwarded_waves", ff1.to_string(), ff2.to_string());
-                }
-            }
-            (
-                Conditioned { kernel: k1, iteration: i1, time_s: t1, counters: n1 },
-                Conditioned { kernel: k2, iteration: i2, time_s: t2, counters: n2 },
-            ) => {
-                if k1 != k2 {
-                    push_diff(&mut out, "kernel", k1.to_string(), k2.to_string());
-                }
-                if i1 != i2 {
-                    push_diff(&mut out, "iteration", i1.to_string(), i2.to_string());
-                }
-                if !f64_eq(*t1, *t2) {
-                    push_diff(&mut out, "time_s", format!("{t1:e}"), format!("{t2:e}"));
-                }
-                diff_counters(n1, n2, &mut out);
-            }
-            (
-                SessionEnd { total_time_s: t1, card_energy_j: c1, gpu_energy_j: g1, mem_energy_j: m1 },
-                SessionEnd { total_time_s: t2, card_energy_j: c2, gpu_energy_j: g2, mem_energy_j: m2 },
-            ) => {
-                for (field, a, b) in [
-                    ("total_time_s", t1, t2),
-                    ("card_energy_j", c1, c2),
-                    ("gpu_energy_j", g1, g2),
-                    ("mem_energy_j", m1, m2),
-                ] {
-                    if !f64_eq(*a, *b) {
-                        push_diff(&mut out, field, format!("{a:e}"), format!("{b:e}"));
-                    }
-                }
-            }
-            (a, b) => {
-                push_diff(&mut out, "event", a.label().to_string(), b.label().to_string());
-            }
-        }
-        out
-    }
-}
-
-fn push_diff(out: &mut Vec<String>, field: &str, a: String, b: String) {
-    out.push(format!("{field}: {a} != {b}"));
-}
-
-/// `retried(3)` / `applied` — the outcome label with its parameter.
-fn outcome_string(o: ActuationOutcome) -> String {
-    match o {
-        ActuationOutcome::Retried(n) => format!("retried({n})"),
-        other => other.label().to_string(),
-    }
-}
-
-fn kinds_string(kinds: &[FaultKind]) -> String {
-    let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
-    format!("[{}]", labels.join(","))
-}
-
-fn diff_counters(a: &CounterSample, b: &CounterSample, out: &mut Vec<String>) {
-    let (ba, bb) = (counter_bits(a), counter_bits(b));
-    for ((field, xa), xb) in COUNTER_FIELDS.iter().zip(ba).zip(bb) {
-        if xa != xb {
-            out.push(format!(
-                "counters.{field}: {} != {}",
-                f64::from_bits(xa),
-                f64::from_bits(xb)
-            ));
-        }
-    }
-}
-
-impl fmt::Display for SessionEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionEvent::SessionStart { app, policy, fault_seed } => {
-                write!(f, "session-start app={app} policy={policy} fault_seed={fault_seed}")
-            }
-            SessionEvent::Decision { kernel, iteration, cfg } => {
-                write!(f, "decision {kernel}#{iteration} -> {cfg}")
-            }
-            SessionEvent::Actuation { kernel, iteration, kind, wanted, actual } => {
-                write!(
-                    f,
-                    "actuation {kernel}#{iteration} {} wanted {wanted} got {actual}",
-                    kind.label()
-                )
-            }
-            SessionEvent::ActuationResolved {
+            Self::ActuationResolved {
                 kernel,
                 iteration,
                 outcome,
@@ -548,31 +411,184 @@ impl fmt::Display for SessionEvent {
                 wanted,
                 actual,
             } => {
-                write!(
-                    f,
-                    "actuation-resolved {kernel}#{iteration} {} after {attempts} attempt(s) \
-                     {} wanted {wanted} got {actual}",
-                    outcome_string(*outcome),
-                    kinds_string(kinds)
-                )
+                v.field("kernel", Kernel(kernel));
+                v.field("iteration", Int(*iteration));
+                v.field("outcome", Outcome(*outcome));
+                v.field("attempts", Int(u64::from(*attempts)));
+                v.field("kinds", Faults(kinds));
+                v.field("wanted", Cfg(*wanted));
+                v.field("actual", Cfg(*actual));
+                TAG_ACTUATION_RESOLVED
             }
-            SessionEvent::Sample { kernel, iteration, cfg, time_s, counters, .. } => {
-                write!(
-                    f,
-                    "sample {kernel}#{iteration} @ {cfg} t={time_s:.4e}s \
-                     valu={:.1}% mem={:.1}% bw={:.1}GB/s occ={:.2}",
-                    counters.valu_busy_pct,
-                    counters.mem_unit_busy_pct,
-                    counters.achieved_bw_gbps,
-                    counters.occupancy_fraction
-                )
+            Self::Sample {
+                kernel,
+                iteration,
+                cfg,
+                time_s,
+                counters,
+                stepped_waves,
+                fast_forwarded_waves,
+            } => {
+                v.field("kernel", Kernel(kernel));
+                v.field("iteration", Int(*iteration));
+                v.field("cfg", Cfg(*cfg));
+                v.field("time_s", Float(*time_s));
+                v.field("counters", Counters(counters));
+                v.field("stepped_waves", Int(*stepped_waves));
+                v.field("fast_forwarded_waves", Int(*fast_forwarded_waves));
+                TAG_SAMPLE
             }
-            SessionEvent::Conditioned { kernel, iteration, time_s, .. } => {
-                write!(f, "conditioned {kernel}#{iteration} t={time_s:.4e}s")
+            Self::Conditioned {
+                kernel,
+                iteration,
+                time_s,
+                counters,
+            } => {
+                v.field("kernel", Kernel(kernel));
+                v.field("iteration", Int(*iteration));
+                v.field("time_s", Float(*time_s));
+                v.field("counters", Counters(counters));
+                TAG_CONDITIONED
             }
-            SessionEvent::SessionEnd { total_time_s, card_energy_j, .. } => {
-                write!(f, "session-end D={total_time_s:.4e}s E={card_energy_j:.4e}J")
+            Self::SessionEnd {
+                total_time_s,
+                card_energy_j,
+                gpu_energy_j,
+                mem_energy_j,
+            } => {
+                v.field("total_time_s", Float(*total_time_s));
+                v.field("card_energy_j", Float(*card_energy_j));
+                v.field("gpu_energy_j", Float(*gpu_energy_j));
+                v.field("mem_energy_j", Float(*mem_energy_j));
+                TAG_SESSION_END
             }
+        }
+    }
+
+    /// Short stable label of the event variant.
+    pub fn label(&self) -> &'static str {
+        LABELS[usize::from(Fields::of(self).tag)]
+    }
+
+    /// The kernel this event belongs to, when it has one.
+    pub fn kernel(&self) -> Option<&str> {
+        let fields = Fields::of(self).list;
+        fields.into_iter().find_map(|(_, field)| match field {
+            FieldRef::Kernel(name) => Some(name),
+            _ => None,
+        })
+    }
+
+    /// Every configuration point the event carries, in codec order: a
+    /// decision's or sample's `cfg`, an actuation's `wanted` then `actual`.
+    pub fn configs(&self) -> impl Iterator<Item = CfgPoint> + '_ {
+        let fields = Fields::of(self).list;
+        fields.into_iter().filter_map(|(_, field)| match field {
+            FieldRef::Cfg(cfg) => Some(cfg),
+            _ => None,
+        })
+    }
+
+    /// Names the fields where `self` and `other` differ (bitwise for
+    /// floats), as `field: self-value != other-value` strings. Empty when
+    /// equal; a single variant-mismatch entry when the kinds differ.
+    pub fn field_diffs(&self, other: &Self) -> Vec<String> {
+        let (a, b) = (Fields::of(self), Fields::of(other));
+        if a.tag != b.tag {
+            return vec![format!("event: {} != {}", self.label(), other.label())];
+        }
+        let mut out = Vec::new();
+        for ((name, x), (_, y)) in a.list.into_iter().zip(b.list) {
+            match (x, y) {
+                (FieldRef::Counters(p), FieldRef::Counters(q)) => {
+                    let (theirs, mut i) = (counter_values(q), 0);
+                    counter_fields(p, |field, u| {
+                        if u != theirs[i] {
+                            out.push(format!("counters.{field}: {u} != {}", theirs[i]));
+                        }
+                        i += 1;
+                    });
+                }
+                _ if x != y => out.push(format!("{name}: {x} != {y}")),
+                _ => {}
+            }
+        }
+        out
+    }
+}
+
+impl fmt::Display for SessionEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::SessionStart {
+                app,
+                policy,
+                fault_seed,
+            } => write!(
+                f,
+                "session-start app={app} policy={policy} fault_seed={fault_seed}"
+            ),
+            Self::Decision {
+                kernel,
+                iteration,
+                cfg,
+            } => write!(f, "decision {kernel}#{iteration} -> {cfg}"),
+            Self::Actuation {
+                kernel,
+                iteration,
+                kind,
+                wanted,
+                actual,
+            } => write!(
+                f,
+                "actuation {kernel}#{iteration} {} wanted {wanted} got {actual}",
+                kind.label()
+            ),
+            Self::ActuationResolved {
+                kernel,
+                iteration,
+                outcome,
+                attempts,
+                kinds,
+                wanted,
+                actual,
+            } => write!(
+                f,
+                "actuation-resolved {kernel}#{iteration} {} after {attempts} attempt(s) \
+                 {} wanted {wanted} got {actual}",
+                FieldRef::Outcome(*outcome),
+                FieldRef::Faults(kinds)
+            ),
+            Self::Sample {
+                kernel,
+                iteration,
+                cfg,
+                time_s,
+                counters,
+                ..
+            } => write!(
+                f,
+                "sample {kernel}#{iteration} @ {cfg} t={time_s:.4e}s \
+                 valu={:.1}% mem={:.1}% bw={:.1}GB/s occ={:.2}",
+                counters.valu_busy_pct,
+                counters.mem_unit_busy_pct,
+                counters.achieved_bw_gbps,
+                counters.occupancy_fraction
+            ),
+            Self::Conditioned {
+                kernel,
+                iteration,
+                time_s,
+                ..
+            } => write!(f, "conditioned {kernel}#{iteration} t={time_s:.4e}s"),
+            Self::SessionEnd {
+                total_time_s,
+                card_energy_j,
+                ..
+            } => write!(
+                f,
+                "session-end D={total_time_s:.4e}s E={card_energy_j:.4e}J"
+            ),
         }
     }
 }
@@ -651,20 +667,22 @@ impl Cursor {
     }
 }
 
-/// A recorded actuation outcome served back to the live run, in either of
-/// the trace's two shapes: the v1 single-shot fault record, or the v2
-/// retry-pipeline resolution.
+/// A perturbed actuation: how one invocation's configuration transition
+/// went when it did not simply apply. The live run's DPM shim produces it,
+/// the session trace records it as one of two events, and replay serves it
+/// back from there.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReplayedActuation {
-    /// A v1 [`SessionEvent::Actuation`]: one fault fired, no retries.
+pub enum Actuation {
+    /// A single-shot fault (no retry shim), recorded as
+    /// [`SessionEvent::Actuation`].
     Fault {
         /// Which actuator fault fired.
         kind: FaultKind,
         /// The configuration that actually took effect.
         actual: HwConfig,
     },
-    /// A v2 [`SessionEvent::ActuationResolved`]: the retry shim's terminal
-    /// verdict for the invocation.
+    /// The retry shim's terminal verdict after one or more perturbed
+    /// attempts, recorded as [`SessionEvent::ActuationResolved`].
     Resolved {
         /// Terminal outcome of the retry state machine.
         outcome: ActuationOutcome,
@@ -718,78 +736,67 @@ impl Replayer {
         grid: &GridSpec,
         kernel: &str,
         iteration: u64,
-    ) -> Option<ReplayedActuation> {
+    ) -> Option<Actuation> {
         let mut c = self.inner.lock().expect("replayer poisoned");
         loop {
             let pos = c.pos;
-            match c.events.get(pos) {
-                Some(SessionEvent::Actuation { kernel: k, iteration: it, kind, actual, .. }) => {
-                    return if **k == *kernel && *it == iteration {
-                        let kind = *kind;
-                        let hw = actual.to_hw_on(grid);
-                        c.pos = pos + 1;
-                        match hw {
-                            Some(actual) => Some(ReplayedActuation::Fault { kind, actual }),
-                            None => {
-                                c.fail(pos, "recorded actuation is off the hardware grid".into());
-                                None
-                            }
-                        }
-                    } else {
-                        let msg = format!(
-                            "recorded actuation is for {k}#{it}, live run is at {kernel}#{iteration}"
-                        );
-                        c.fail(pos, msg);
-                        c.pos = pos + 1;
-                        None
-                    };
-                }
+            let (what, k, it, served) = match c.events.get(pos) {
+                Some(SessionEvent::Actuation {
+                    kernel,
+                    iteration,
+                    kind,
+                    actual,
+                    ..
+                }) => (
+                    "actuation",
+                    kernel,
+                    *iteration,
+                    actual.to_hw_on(grid).map(|actual| Actuation::Fault {
+                        kind: *kind,
+                        actual,
+                    }),
+                ),
                 Some(SessionEvent::ActuationResolved {
-                    kernel: k,
-                    iteration: it,
+                    kernel,
+                    iteration,
                     outcome,
                     attempts,
                     kinds,
                     actual,
                     ..
-                }) => {
-                    return if **k == *kernel && *it == iteration {
-                        let (outcome, attempts, kinds) = (*outcome, *attempts, kinds.clone());
-                        let hw = actual.to_hw_on(grid);
-                        c.pos = pos + 1;
-                        match hw {
-                            Some(actual) => Some(ReplayedActuation::Resolved {
-                                outcome,
-                                attempts,
-                                kinds,
-                                actual,
-                            }),
-                            None => {
-                                c.fail(
-                                    pos,
-                                    "recorded actuation resolution is off the hardware grid".into(),
-                                );
-                                None
-                            }
-                        }
-                    } else {
-                        let msg = format!(
-                            "recorded actuation resolution is for {k}#{it}, \
-                             live run is at {kernel}#{iteration}"
-                        );
-                        c.fail(pos, msg);
-                        c.pos = pos + 1;
-                        None
-                    };
-                }
+                }) => (
+                    "actuation resolution",
+                    kernel,
+                    *iteration,
+                    actual.to_hw_on(grid).map(|actual| Actuation::Resolved {
+                        outcome: *outcome,
+                        attempts: *attempts,
+                        kinds: kinds.clone(),
+                        actual,
+                    }),
+                ),
                 // Clean actuation for this invocation: the next stochastic
                 // event is its sample. Leave it for `sample_for`.
-                Some(SessionEvent::Sample { .. }) | Some(SessionEvent::SessionEnd { .. }) | None => {
-                    return None;
+                Some(SessionEvent::Sample { .. } | SessionEvent::SessionEnd { .. }) | None => {
+                    return None
                 }
                 // Deterministic bookkeeping events are re-derived live.
-                Some(_) => c.pos = pos + 1,
-            }
+                Some(_) => {
+                    c.pos = pos + 1;
+                    continue;
+                }
+            };
+            let message = if **k != *kernel || it != iteration {
+                format!("recorded {what} is for {k}#{it}, live run is at {kernel}#{iteration}")
+            } else if served.is_some() {
+                c.pos = pos + 1;
+                return served;
+            } else {
+                format!("recorded {what} is off the hardware grid")
+            };
+            c.fail(pos, message);
+            c.pos = pos + 1;
+            return None;
         }
     }
 
@@ -837,8 +844,7 @@ impl Replayer {
                     c.fail(pos, format!("trace exhausted before {kernel}#{iteration}"));
                     return None;
                 }
-                Some(SessionEvent::Actuation { .. })
-                | Some(SessionEvent::ActuationResolved { .. }) => {
+                Some(SessionEvent::Actuation { .. } | SessionEvent::ActuationResolved { .. }) => {
                     // An actuation the runtime never asked for (e.g. replay
                     // driven without `with_replay`): note it and move on.
                     c.fail(pos, "unconsumed actuation event".into());
@@ -872,7 +878,11 @@ mod tests {
         SessionEvent::Sample {
             kernel: kernel.into(),
             iteration,
-            cfg: CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 },
+            cfg: CfgPoint {
+                cu: 32,
+                cu_mhz: 1000,
+                mem_mhz: 1375,
+            },
             time_s: t,
             counters: CounterSample::default(),
             stepped_waves: 0,
@@ -908,7 +918,11 @@ mod tests {
 
     #[test]
     fn replayer_serves_actuations_then_samples_in_order() {
-        let cfg = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 };
+        let cfg = CfgPoint {
+            cu: 32,
+            cu_mhz: 1000,
+            mem_mhz: 1375,
+        };
         let hw = cfg.to_hw_on(&HD).unwrap();
         let events = vec![
             SessionEvent::SessionStart {
@@ -916,7 +930,11 @@ mod tests {
                 policy: "baseline".into(),
                 fault_seed: 0,
             },
-            SessionEvent::Decision { kernel: "k".into(), iteration: 0, cfg },
+            SessionEvent::Decision {
+                kernel: "k".into(),
+                iteration: 0,
+                cfg,
+            },
             SessionEvent::Actuation {
                 kernel: "k".into(),
                 iteration: 0,
@@ -925,13 +943,17 @@ mod tests {
                 actual: cfg,
             },
             sample("k", 0, 0.5),
-            SessionEvent::Decision { kernel: "k".into(), iteration: 1, cfg },
+            SessionEvent::Decision {
+                kernel: "k".into(),
+                iteration: 1,
+                cfg,
+            },
             sample("k", 1, 0.25),
         ];
         let rep = Replayer::new(events);
         assert_eq!(
             rep.actuation_event_for(&HD, "k", 0),
-            Some(ReplayedActuation::Fault {
+            Some(Actuation::Fault {
                 kind: FaultKind::DvfsDeny,
                 actual: hw
             })
@@ -949,11 +971,23 @@ mod tests {
 
     #[test]
     fn replayer_serves_resolved_actuations() {
-        let cfg = CfgPoint { cu: 32, cu_mhz: 1000, mem_mhz: 1375 };
-        let degraded = CfgPoint { cu: 24, cu_mhz: 800, mem_mhz: 1375 };
+        let cfg = CfgPoint {
+            cu: 32,
+            cu_mhz: 1000,
+            mem_mhz: 1375,
+        };
+        let degraded = CfgPoint {
+            cu: 24,
+            cu_mhz: 800,
+            mem_mhz: 1375,
+        };
         let hw = cfg.to_hw_on(&HD).unwrap();
         let events = vec![
-            SessionEvent::Decision { kernel: "k".into(), iteration: 0, cfg },
+            SessionEvent::Decision {
+                kernel: "k".into(),
+                iteration: 0,
+                cfg,
+            },
             SessionEvent::ActuationResolved {
                 kernel: "k".into(),
                 iteration: 0,
@@ -967,7 +1001,12 @@ mod tests {
         ];
         let rep = Replayer::new(events);
         match rep.actuation_event_for(&HD, "k", 0) {
-            Some(ReplayedActuation::Resolved { outcome, attempts, kinds, actual }) => {
+            Some(Actuation::Resolved {
+                outcome,
+                attempts,
+                kinds,
+                actual,
+            }) => {
                 assert_eq!(outcome, ActuationOutcome::RolledBack);
                 assert_eq!(attempts, 3);
                 assert_eq!(kinds, vec![FaultKind::DvfsDeny, FaultKind::DvfsNeighbor]);
@@ -1004,7 +1043,7 @@ mod tests {
             let rep = Replayer::new(events.clone());
             assert_eq!(
                 rep.actuation_event_for(grid, "k", 0),
-                Some(ReplayedActuation::Fault {
+                Some(Actuation::Fault {
                     kind: FaultKind::DvfsNeighbor,
                     actual: safe
                 }),

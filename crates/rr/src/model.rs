@@ -74,7 +74,9 @@ mod tests {
     use harmonia_sim::{FaultKind, FaultPlan, FaultSpec, FaultyModel, IntervalModel, NoisyModel};
 
     fn kernel() -> KernelProfile {
-        KernelProfile::builder("rr-model").workitems(1 << 18).build()
+        KernelProfile::builder("rr-model")
+            .workitems(1 << 18)
+            .build()
     }
 
     /// The full stochastic stack — noise under counter faults — recorded

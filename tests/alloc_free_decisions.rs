@@ -14,7 +14,8 @@
 //! its profile's name, and reading the stream back — `Recorder::events`
 //! and `codec::decode` — allocates per distinct name and per retry
 //! resolution's fault-kind list, never per decision, sample, sanitizer
-//! substitution or actuator fault.
+//! substitution or actuator fault. Encoding that session takes a fixed
+//! handful of allocations, and diffing it against its decoded copy none.
 
 use harmonia::dataset::TrainingSet;
 use harmonia::governor::{PolicyResources, PolicySpec, PolicyStats};
@@ -23,7 +24,7 @@ use harmonia::runtime::{RetryPolicy, Runtime};
 use harmonia::telemetry::TraceHandle;
 use harmonia_experiments::rr_cmd::chaos_plan;
 use harmonia_power::PowerModel;
-use harmonia_rr::{codec, Recorder, SessionEvent};
+use harmonia_rr::{codec, differ, Recorder, SessionEvent};
 use harmonia_sim::{FaultyModel, IntervalModel, TimingModel};
 use harmonia_types::{DeviceSpec, HwConfig, Tunable};
 use harmonia_workloads::suite;
@@ -206,6 +207,11 @@ fn policy_stats_are_one_allocation() {
 /// application and policy strings.
 const STREAM_ALLOCATIONS: u64 = 4;
 
+/// Allocations `codec::encode` makes for the Graph500 chaos session below:
+/// the output buffer, its one regrowth past the 64-bytes-per-event guess,
+/// and the encoder's name table.
+const ENCODE_ALLOCATIONS: u64 = 3;
+
 #[test]
 fn session_traces_share_kernel_names() {
     let spec = DeviceSpec::lookup("hd7970").expect("catalog device");
@@ -232,9 +238,13 @@ fn session_traces_share_kernel_names() {
         .run(&app, &mut policy.build(&res).governor);
 
     let (events, recorded) = counting(|| recorder.events());
-    let bytes = recorder.encode();
+    let (bytes, encoded) = counting(|| codec::encode(&events));
+    assert_eq!(bytes, recorder.encode());
     let (decoded, decoded_allocations) = counting(|| codec::decode(&bytes).expect("decodes"));
-    assert_eq!(decoded, events);
+    let (divergence, diffed) = counting(|| differ::first_divergence(&events, &decoded));
+    assert_eq!(divergence, None);
+    assert!(encoded <= ENCODE_ALLOCATIONS, "encode allocated {encoded} > {ENCODE_ALLOCATIONS}");
+    assert_eq!(diffed, 0, "first_divergence of equal streams allocated");
 
     let named = events.iter().filter_map(SessionEvent::kernel);
     for name in named.clone() {
