@@ -17,6 +17,7 @@
 
 use crate::governor::stack::{DecisionLedger, PolicyStats};
 use crate::governor::{Governor, KernelMap};
+use crate::runtime::activity_of;
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{CounterSample, KernelProfile};
@@ -199,11 +200,7 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         cfg: HwConfig,
         counters: &CounterSample,
     ) {
-        let activity = Activity {
-            valu_activity: counters.valu_activity(),
-            dram_bytes_per_sec: counters.dram_bytes_per_sec(),
-            dram_traffic_fraction: counters.ic_activity,
-        };
+        let activity = activity_of(counters);
         // An interval under sanitizer pressure (rejects were recorded since
         // the last observation) did not produce a usable measurement: the
         // sample in hand is a substituted stand-in recorded at an *earlier*
@@ -276,11 +273,7 @@ mod tests {
         for i in 0..6 {
             let cfg = g.decide(&k, i);
             let c = model.simulate(cfg, &k, i);
-            let activity = Activity {
-                valu_activity: c.counters.valu_activity(),
-                dram_bytes_per_sec: c.counters.dram_bytes_per_sec(),
-                dram_traffic_fraction: c.counters.ic_activity,
-            };
+            let activity = activity_of(&c.counters);
             // Enforced against the projected activity (after warm-up the
             // projection is the real activity of the previous invocation).
             if i > 0 {

@@ -44,7 +44,7 @@ pub use coarse::{CoarseGrain, SensitivityBins};
 pub use fine::{FgState, FineGrain};
 pub use harmonia::{HarmoniaConfig, HarmoniaGovernor};
 pub use ladder::{DegradeGovernor, Ladder, LadderSignal, LadderTransition, Rung};
-pub use oracle::{Ed2Objective, OracleGovernor, PowerAffine, PowerTable};
+pub use oracle::{Ed2Objective, KernelHandle, OracleGovernor, PlanStore, PowerAffine, PowerTable};
 pub use powertune::PowerTuneGovernor;
 pub use registry::{Policy, PolicyResources, PolicySpec, DEFAULT_CAP};
 pub use stack::{BoxGovernor, DecisionLedger, PolicyStats, SanitizeGovernor};

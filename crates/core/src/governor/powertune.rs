@@ -16,8 +16,9 @@
 //! power cap, where the contrast with Harmonia's coordinated scaling shows.
 
 use crate::governor::Governor;
+use crate::runtime::activity_of;
 use crate::telemetry::{TraceEvent, TraceHandle};
-use harmonia_power::{Activity, PowerModel, ThermalModel, ThermalParams};
+use harmonia_power::{PowerModel, ThermalModel, ThermalParams};
 use harmonia_sim::{CounterSample, KernelProfile};
 use harmonia_types::{ComputeConfig, DvfsTable, GridSpec, HwConfig, MegaHertz, MemoryConfig, Watts};
 
@@ -109,11 +110,7 @@ impl Governor for PowerTuneGovernor<'_> {
         counters: &CounterSample,
     ) {
         let state_before = self.state;
-        let activity = Activity {
-            valu_activity: counters.valu_activity(),
-            dram_bytes_per_sec: counters.dram_bytes_per_sec(),
-            dram_traffic_fraction: counters.ic_activity,
-        };
+        let activity = activity_of(counters);
         let card = self.power.card_pwr(cfg, &activity);
         self.thermal.step(card, counters.duration);
 

@@ -26,9 +26,10 @@
 //!   stay readable after the stack is boxed into a `dyn Governor`.
 
 use crate::governor::{Governor, KernelMap};
+use crate::runtime::activity_of;
 use crate::sanitize::{self, CounterSanitizer};
 use crate::telemetry::TraceHandle;
-use harmonia_power::{Activity, PowerModel};
+use harmonia_power::PowerModel;
 use harmonia_sim::{CounterSample, KernelProfile};
 use harmonia_types::{HwConfig, Seconds, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -289,15 +290,10 @@ impl AnomalyCheck<'_> {
                 what
             }
             Self::Cap { power, cap, ledger } => {
-                let activity = Activity {
-                    valu_activity: counters.valu_activity(),
-                    dram_bytes_per_sec: counters.dram_bytes_per_sec(),
-                    dram_traffic_fraction: counters.ic_activity,
-                };
                 // NaN projections (glitched telemetry) fail the comparison
                 // and are not counted — the counter watchdog catches
                 // implausible samples.
-                if power.card_pwr(cfg, &activity).value() > cap.value() * 1.05 {
+                if power.card_pwr(cfg, &activity_of(counters)).value() > cap.value() * 1.05 {
                     Some("cap violation")
                 } else if mismatch(Some(ledger)) {
                     Some("actuation mismatch")

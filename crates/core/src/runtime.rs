@@ -19,12 +19,25 @@ use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel, PowerTrace};
 use harmonia_rr::{Actuation, Recorder, Replayer, SessionEvent};
 use harmonia_sim::faults::{ActuationOutcome, FaultKind, FaultPlan};
-use harmonia_sim::TimingModel;
+use harmonia_sim::{CounterSample, TimingModel};
 use harmonia_types::{HwConfig, Joules, Seconds, Session};
 use harmonia_workloads::Application;
 
 /// DAQ sampling rate for the telemetry power trace (the paper's 1 kHz).
 const POWER_SAMPLE_HZ: f64 = 1000.0;
+
+/// The power model's input for one counter sample: VALU activity, DRAM
+/// bytes per second, and the interconnect activity as the DRAM traffic
+/// fraction. Every projection from counters to watts converts through
+/// here.
+#[inline]
+pub fn activity_of(counters: &CounterSample) -> Activity {
+    Activity {
+        valu_activity: counters.valu_activity(),
+        dram_bytes_per_sec: counters.dram_bytes_per_sec(),
+        dram_traffic_fraction: counters.ic_activity,
+    }
+}
 
 /// Retry/backoff policy for the reliable-actuation shim
 /// ([`Runtime::with_actuator`]).
@@ -458,12 +471,7 @@ impl<'a> Runtime<'a> {
                         });
                     }
                 }
-                let activity = Activity {
-                    valu_activity: counters.valu_activity(),
-                    dram_bytes_per_sec: counters.dram_bytes_per_sec(),
-                    dram_traffic_fraction: counters.ic_activity,
-                };
-                let breakdown = self.power.breakdown(cfg, &activity);
+                let breakdown = self.power.breakdown(cfg, &activity_of(&counters));
 
                 let dt = time;
                 total_time += dt;

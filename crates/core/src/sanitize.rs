@@ -44,6 +44,7 @@
 //! default path is byte-identical to previous behaviour.
 
 use crate::governor::KernelMap;
+use crate::runtime::activity_of;
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::CounterSample;
@@ -417,12 +418,7 @@ impl<'a> CounterSanitizer<'a> {
         // poison the clamp's activity learning.
         let impossible = !dead
             && self.power.is_some_and(|power| {
-                let implied = Activity {
-                    valu_activity: c.valu_activity(),
-                    dram_bytes_per_sec: c.dram_bytes_per_sec(),
-                    dram_traffic_fraction: c.ic_activity,
-                };
-                let projected = power.card_pwr(cfg, &implied).value();
+                let projected = power.card_pwr(cfg, &activity_of(&c)).value();
                 let ceiling = power
                     .card_pwr(cfg, &Activity::streaming_on(power.grid(), 1.0, 1.0))
                     .value();

@@ -2,19 +2,11 @@
 
 use crate::context::Context;
 use crate::report::{num, pct, Report};
+use harmonia::runtime::activity_of;
 use harmonia::sensitivity;
-use harmonia_power::Activity;
-use harmonia_sim::{CounterSample, Occupancy, SimCache, TimingModel};
+use harmonia_sim::{Occupancy, SimCache, TimingModel};
 use harmonia_types::{ComputeConfig, ConfigSpace, HwConfig, MegaHertz, MemoryConfig};
 use harmonia_workloads::suite;
-
-fn activity_of(c: &CounterSample) -> Activity {
-    Activity {
-        valu_activity: c.valu_activity(),
-        dram_bytes_per_sec: c.dram_bytes_per_sec(),
-        dram_traffic_fraction: c.ic_activity,
-    }
-}
 
 /// A compute-clock label for table headers: `300 MHz`, `1 GHz`.
 fn mhz_label(f: harmonia_types::MegaHertz) -> String {

@@ -202,7 +202,7 @@ pub fn record_session_with(
     row("trace bytes", bytes.len().to_string());
     report.note(format!(
         "format v{}: replay with `rr replay <file>`; bit-exact replay prints `no divergence`",
-        codec::FORMAT_VERSION
+        codec::minimal_version(&events)
     ));
 
     Some(RecordedSession {
@@ -311,6 +311,7 @@ pub fn read_trace(path: &Path) -> Result<Vec<SessionEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia::governor::DEFAULT_CAP;
 
     #[test]
     fn unknown_app_is_rejected() {
@@ -353,19 +354,24 @@ mod tests {
         assert_eq!(plan.seed(), 7);
     }
 
-    #[test]
-    fn actuated_chaos_session_records_v2_and_replays_bit_exactly() {
-        let ctx = Context::new();
+    /// A Sort chaos session with DVFS denials resolved by the retry shim.
+    fn retried_chaos_session(ctx: &Context) -> RecordedSession {
         let plan = chaos_plan(0xB0B)
             .with(FaultSpec::new(FaultKind::DvfsDeny, 0.4));
-        let rec = record_session_with(
-            &ctx,
+        record_session_with(
+            ctx,
             "sort",
             PolicySpec::Harmonia,
             Some(&plan),
             Some(RetryPolicy::default()),
         )
-        .expect("Sort is in the suite");
+        .expect("Sort is in the suite")
+    }
+
+    #[test]
+    fn actuated_chaos_session_records_v2_and_replays_bit_exactly() {
+        let ctx = Context::new();
+        let rec = retried_chaos_session(&ctx);
         assert!(
             count_label(&rec.events, "actuation-resolved") > 0,
             "retry shim must resolve at least one perturbed actuation"
@@ -383,6 +389,24 @@ mod tests {
         );
         assert!(rep.replay_error.is_none(), "{:?}", rep.replay_error);
         assert_eq!(rep.run, rec.run);
+    }
+
+    #[test]
+    fn the_format_note_names_the_version_in_the_header() {
+        let note = |rec: &RecordedSession| {
+            let stamped = u16::from_le_bytes([rec.bytes[8], rec.bytes[9]]);
+            let note = rec.report.notes.iter().find(|n| n.starts_with("format v"));
+            (stamped, note.expect("format note").clone())
+        };
+        let ctx = Context::new();
+        let clean = record_session(&ctx, "stencil", PolicySpec::Capped(DEFAULT_CAP), None)
+            .expect("Stencil is in the suite");
+        let (stamped, text) = note(&clean);
+        assert_eq!(stamped, 1, "a clean session needs only v1");
+        assert!(text.starts_with("format v1:"), "{text}");
+        let (stamped, text) = note(&retried_chaos_session(&ctx));
+        assert_eq!(stamped, 2, "resolved actuations need v2");
+        assert!(text.starts_with("format v2:"), "{text}");
     }
 
     #[test]

@@ -109,7 +109,10 @@ impl ClusterGovernor {
                 lambda: 0.0,
             };
         }
-        let extras: Vec<f64> = demands.iter().map(|d| (d.demand - d.floor).max(0.0)).collect();
+        let extras: Vec<f64> = demands
+            .iter()
+            .map(|d| (d.demand - d.floor).max(0.0))
+            .collect();
         let weights: Vec<f64> = demands.iter().map(|d| d.weight.max(MIN_WEIGHT)).collect();
         let remaining = budget - floors;
         let total_extra: f64 = extras.iter().sum();
@@ -141,7 +144,9 @@ impl ClusterGovernor {
         order.sort_by(|&a, &b| {
             let ba = extras[a] / weights[a];
             let bb = extras[b] / weights[b];
-            ba.partial_cmp(&bb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+            ba.partial_cmp(&bb)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
         });
         // Devices below the water level contribute λ·w_i; saturated ones
         // contribute their full extra. Walk breakpoints until the level
@@ -174,8 +179,16 @@ mod tests {
     fn ample_budget_grants_every_demand() {
         let g = ClusterGovernor::new(Watts(1000.0)).with_margin(0.0);
         let demands = vec![
-            DeviceDemand { floor: 100.0, demand: 250.0, weight: 1.0 },
-            DeviceDemand { floor: 100.0, demand: 200.0, weight: 2.0 },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 250.0,
+                weight: 1.0,
+            },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 200.0,
+                weight: 2.0,
+            },
         ];
         let a = g.partition(&demands);
         assert!(!a.infeasible);
@@ -187,15 +200,26 @@ mod tests {
     fn tight_budget_never_exceeds_the_cap_and_favors_high_weight() {
         let g = ClusterGovernor::new(Watts(300.0)).with_margin(0.0);
         let demands = vec![
-            DeviceDemand { floor: 100.0, demand: 300.0, weight: 1.0 },
-            DeviceDemand { floor: 100.0, demand: 300.0, weight: 3.0 },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 300.0,
+                weight: 1.0,
+            },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 300.0,
+                weight: 3.0,
+            },
         ];
         let a = g.partition(&demands);
         assert!(!a.infeasible);
         assert!(alloc_total(&a) <= 300.0 + 1e-9);
         let extra0 = a.caps[0].value() - 100.0;
         let extra1 = a.caps[1].value() - 100.0;
-        assert!(extra1 > extra0, "headroom must flow to the steeper ED² gradient");
+        assert!(
+            extra1 > extra0,
+            "headroom must flow to the steeper ED² gradient"
+        );
         // Water-filling: un-saturated extras are proportional to weights.
         assert!((extra1 / extra0 - 3.0).abs() < 1e-9, "{extra0} vs {extra1}");
     }
@@ -204,20 +228,40 @@ mod tests {
     fn saturated_devices_free_headroom_for_the_rest() {
         let g = ClusterGovernor::new(Watts(460.0)).with_margin(0.0);
         let demands = vec![
-            DeviceDemand { floor: 100.0, demand: 120.0, weight: 5.0 }, // saturates at 20 W extra
-            DeviceDemand { floor: 100.0, demand: 400.0, weight: 1.0 },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 120.0,
+                weight: 5.0,
+            }, // saturates at 20 W extra
+            DeviceDemand {
+                floor: 100.0,
+                demand: 400.0,
+                weight: 1.0,
+            },
         ];
         let a = g.partition(&demands);
         assert_eq!(a.caps[0], Watts(120.0), "cheap demand is fully granted");
-        assert!((a.caps[1].value() - 340.0).abs() < 1e-9, "rest flows on: {:?}", a);
+        assert!(
+            (a.caps[1].value() - 340.0).abs() < 1e-9,
+            "rest flows on: {:?}",
+            a
+        );
     }
 
     #[test]
     fn infeasible_floors_hold_every_device_at_its_floor() {
         let g = ClusterGovernor::new(Watts(150.0)).with_margin(0.0);
         let demands = vec![
-            DeviceDemand { floor: 100.0, demand: 200.0, weight: 1.0 },
-            DeviceDemand { floor: 100.0, demand: 200.0, weight: 1.0 },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 200.0,
+                weight: 1.0,
+            },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 200.0,
+                weight: 1.0,
+            },
         ];
         let a = g.partition(&demands);
         assert!(a.infeasible);
@@ -228,8 +272,16 @@ mod tests {
     fn zero_weights_still_split_headroom_evenly() {
         let g = ClusterGovernor::new(Watts(300.0)).with_margin(0.0);
         let demands = vec![
-            DeviceDemand { floor: 100.0, demand: 200.0, weight: 0.0 },
-            DeviceDemand { floor: 100.0, demand: 200.0, weight: 0.0 },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 200.0,
+                weight: 0.0,
+            },
+            DeviceDemand {
+                floor: 100.0,
+                demand: 200.0,
+                weight: 0.0,
+            },
         ];
         let a = g.partition(&demands);
         assert!(!a.infeasible);

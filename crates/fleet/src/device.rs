@@ -1,29 +1,29 @@
-//! One device's session: a per-device governor stack over the shared
-//! [`PlanStore`], stepped once per scheduler tick.
+//! One device's session: a per-device governor stack over the fleet's
+//! shared [`PlanStore`], stepped once per scheduler tick.
 //!
-//! A session borrows its application and owns its governor stack (the
-//! shared oracle, optionally wrapped in the core [`CappedGovernor`] when
-//! the fleet enforces a cluster cap), one store handle per kernel, and its
-//! accounting — total time, card energy, a rolling FNV-1a digest of every
-//! granted configuration, and the cap telemetry the
-//! [`ClusterGovernor`](crate::cluster::ClusterGovernor) water-fills on.
-//! Everything a step touches is either session-local or goes through the
-//! store's per-kernel locks, so stepping devices in parallel is safe and
-//! their accounting is interleaving-independent.
+//! A session borrows its application and owns its governor stack (an
+//! [`OracleGovernor`] over the shared store, optionally wrapped in the core
+//! [`CappedGovernor`] when the fleet enforces a cluster cap), one store
+//! handle per kernel, and its accounting — total time, card energy, a
+//! rolling FNV-1a digest of every granted configuration, and the cap
+//! telemetry the [`ClusterGovernor`](crate::cluster::ClusterGovernor)
+//! water-fills on. Everything a step touches is either session-local or
+//! goes through the store's per-kernel locks, so stepping devices in
+//! parallel is safe and their accounting is interleaving-independent.
 
 use crate::cluster::DeviceDemand;
-use crate::store::{KernelHandle, PlanStore, SharedOracleGovernor};
-use harmonia::governor::{CappedGovernor, Governor};
-use harmonia_power::Activity;
+use harmonia::governor::{CappedGovernor, Governor, KernelHandle, OracleGovernor, PlanStore};
+use harmonia::runtime::activity_of;
 use harmonia_types::{Joules, Seconds, Watts};
 use harmonia_workloads::Application;
+use std::sync::Arc;
 
 /// The per-device policy stack: the shared-store oracle, bare or under a
 /// power-cap clamp (boxed: the clamp's per-kernel state dwarfs the bare
-/// oracle handle).
-enum DeviceGovernor<'s, 'a> {
-    Oracle(SharedOracleGovernor<'s, 'a>),
-    Capped(Box<CappedGovernor<'s, SharedOracleGovernor<'s, 'a>>>),
+/// oracle).
+enum DeviceGovernor<'a> {
+    Oracle(OracleGovernor<'a>),
+    Capped(Box<CappedGovernor<'a, OracleGovernor<'a>>>),
 }
 
 /// What one device contributes to a tick's serial merge: its peak power
@@ -46,7 +46,8 @@ pub struct DeviceReport {
     pub class: usize,
     /// Application the device ran.
     pub app: String,
-    /// Governor stack name (reflects the final cap share when capped).
+    /// Governor stack name, `fleet:`-prefixed (reflects the final cap
+    /// share when capped).
     pub governor: String,
     /// Total kernel execution time, seconds.
     pub total_time: Seconds,
@@ -69,7 +70,7 @@ pub struct DeviceSession<'s, 'a> {
     id: usize,
     class: usize,
     app: &'s Application,
-    governor: DeviceGovernor<'s, 'a>,
+    governor: DeviceGovernor<'a>,
     store: &'s PlanStore<'a>,
     /// One store handle per application kernel, in kernel order, resolved
     /// on the first step: every later tick decides and simulates through
@@ -96,7 +97,7 @@ fn fnv(mut digest: u64, words: &[u64]) -> u64 {
 
 impl<'s, 'a> DeviceSession<'s, 'a> {
     /// An uncapped class-0 session: the shared oracle governs directly.
-    pub fn oracle(id: usize, app: &'s Application, store: &'s PlanStore<'a>) -> Self {
+    pub fn oracle(id: usize, app: &'s Application, store: &'s Arc<PlanStore<'a>>) -> Self {
         Self::oracle_in_class(id, 0, app, store)
     }
 
@@ -105,20 +106,20 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         id: usize,
         class: usize,
         app: &'s Application,
-        store: &'s PlanStore<'a>,
+        store: &'s Arc<PlanStore<'a>>,
     ) -> Self {
-        Self::build(
-            id,
-            class,
-            app,
-            store,
-            DeviceGovernor::Oracle(SharedOracleGovernor::for_class(store, class)),
-        )
+        let oracle = OracleGovernor::shared(Arc::clone(store), class);
+        Self::build(id, class, app, store, DeviceGovernor::Oracle(oracle))
     }
 
     /// A capped class-0 session: the shared oracle under a
     /// [`CappedGovernor`] clamp at the device's initial cap share.
-    pub fn capped(id: usize, app: &'s Application, store: &'s PlanStore<'a>, cap: Watts) -> Self {
+    pub fn capped(
+        id: usize,
+        app: &'s Application,
+        store: &'s Arc<PlanStore<'a>>,
+        cap: Watts,
+    ) -> Self {
         Self::capped_in_class(id, 0, app, store, cap)
     }
 
@@ -128,14 +129,11 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         id: usize,
         class: usize,
         app: &'s Application,
-        store: &'s PlanStore<'a>,
+        store: &'s Arc<PlanStore<'a>>,
         cap: Watts,
     ) -> Self {
-        let clamp = CappedGovernor::new(
-            SharedOracleGovernor::for_class(store, class),
-            store.power_of(class),
-            cap,
-        );
+        let oracle = OracleGovernor::shared(Arc::clone(store), class);
+        let clamp = CappedGovernor::new(oracle, store.power_of(class), cap);
         let governor = DeviceGovernor::Capped(Box::new(clamp));
         Self::build(id, class, app, store, governor)
     }
@@ -145,7 +143,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         class: usize,
         app: &'s Application,
         store: &'s PlanStore<'a>,
-        governor: DeviceGovernor<'s, 'a>,
+        governor: DeviceGovernor<'a>,
     ) -> Self {
         Self {
             id,
@@ -192,7 +190,11 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         let power = store.power_of(class);
         let floor_cfg = store.floor_of(class);
         let mut tick_power = 0.0_f64;
-        let mut demand = DeviceDemand { floor: 0.0, demand: 0.0, weight: 0.0 };
+        let mut demand = DeviceDemand {
+            floor: 0.0,
+            demand: 0.0,
+            weight: 0.0,
+        };
         let mut benefit = 0.0_f64;
         for (ki, (kernel, handle)) in app.kernels.iter().zip(&self.handles).enumerate() {
             // The unconstrained optimum first: for capped fleets it is the
@@ -210,12 +212,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
                 DeviceGovernor::Capped(g) => g.decide(kernel, tick),
             };
             let result = store.simulate_with(handle, kernel, granted, tick);
-            let activity = Activity {
-                valu_activity: result.counters.valu_activity(),
-                dram_bytes_per_sec: result.counters.dram_bytes_per_sec(),
-                dram_traffic_fraction: result.counters.ic_activity,
-            };
-            let breakdown = power.breakdown(granted, &activity);
+            let breakdown = power.breakdown(granted, &activity_of(&result.counters));
             let dt = result.time;
             self.total_time += dt;
             self.card_energy += breakdown.card_pwr() * dt;
@@ -239,21 +236,11 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
                 // activity just observed — the floor sim is a cache hit
                 // (the cold sweep covered the whole grid).
                 let floor_res = store.simulate_with(handle, kernel, floor_cfg, tick);
-                let floor_act = Activity {
-                    valu_activity: floor_res.counters.valu_activity(),
-                    dram_bytes_per_sec: floor_res.counters.dram_bytes_per_sec(),
-                    dram_traffic_fraction: floor_res.counters.ic_activity,
-                };
-                let p_floor = power.card_pwr(floor_cfg, &floor_act).value();
+                let p_floor = power
+                    .card_pwr(floor_cfg, &activity_of(&floor_res.counters))
+                    .value();
                 let p_want = power
-                    .card_pwr(
-                        desired.config,
-                        &Activity {
-                            valu_activity: desired.result.counters.valu_activity(),
-                            dram_bytes_per_sec: desired.result.counters.dram_bytes_per_sec(),
-                            dram_traffic_fraction: desired.result.counters.ic_activity,
-                        },
-                    )
+                    .card_pwr(desired.config, &activity_of(&desired.result.counters))
                     .value();
                 demand.floor = demand.floor.max(p_floor);
                 demand.demand = demand.demand.max(p_want);
@@ -265,24 +252,29 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
             }
         }
         let gap = demand.demand - demand.floor;
-        demand.weight = if gap > 0.0 { (benefit / gap).max(0.0) } else { 0.0 };
-        TickOutcome { tick_power_w: tick_power, demand }
+        demand.weight = if gap > 0.0 {
+            (benefit / gap).max(0.0)
+        } else {
+            0.0
+        };
+        TickOutcome {
+            tick_power_w: tick_power,
+            demand,
+        }
     }
 
     /// The device's final accounting. The cap-violation count is the
     /// clamp's own 5%-tolerance ledger; uncapped sessions report zero.
     pub fn report(&self) -> DeviceReport {
         let (governor, cap_violations, final_cap_w) = match &self.governor {
-            DeviceGovernor::Oracle(g) => (g.name().to_string(), 0, None),
-            DeviceGovernor::Capped(g) => {
-                (g.name().to_string(), g.cap_violations(), Some(g.cap().value()))
-            }
+            DeviceGovernor::Oracle(g) => (g.name(), 0, None),
+            DeviceGovernor::Capped(g) => (g.name(), g.cap_violations(), Some(g.cap().value())),
         };
         DeviceReport {
             id: self.id,
             class: self.class,
             app: self.app.name.clone(),
-            governor,
+            governor: format!("fleet:{governor}"),
             total_time: self.total_time,
             card_energy: self.card_energy,
             ed2: self.card_energy.value() * self.total_time.value() * self.total_time.value(),
@@ -305,7 +297,7 @@ mod tests {
     fn an_uncapped_step_accumulates_time_energy_and_digest() {
         let model = IntervalModel::default();
         let power = PowerModel::hd7970();
-        let store = PlanStore::new(&model, &power);
+        let store = Arc::new(PlanStore::new(&model, &power));
         let app = suite::stencil();
         let mut dev = DeviceSession::oracle(0, &app, &store);
         let out = dev.step(0);
@@ -323,7 +315,7 @@ mod tests {
     fn identical_devices_produce_identical_reports() {
         let model = IntervalModel::default();
         let power = PowerModel::hd7970();
-        let store = PlanStore::new(&model, &power);
+        let store = Arc::new(PlanStore::new(&model, &power));
         let app = suite::stencil();
         let mut a = DeviceSession::oracle(0, &app, &store);
         let mut b = DeviceSession::oracle(1, &app, &store);
@@ -332,8 +324,14 @@ mod tests {
             b.step(tick);
         }
         let (ra, rb) = (a.report(), b.report());
-        assert_eq!(ra.total_time.value().to_bits(), rb.total_time.value().to_bits());
-        assert_eq!(ra.card_energy.value().to_bits(), rb.card_energy.value().to_bits());
+        assert_eq!(
+            ra.total_time.value().to_bits(),
+            rb.total_time.value().to_bits()
+        );
+        assert_eq!(
+            ra.card_energy.value().to_bits(),
+            rb.card_energy.value().to_bits()
+        );
         assert_eq!(ra.ed2.to_bits(), rb.ed2.to_bits());
         assert_eq!(ra.config_digest, rb.config_digest);
     }
@@ -342,7 +340,7 @@ mod tests {
     fn a_tight_cap_shows_up_in_power_and_telemetry() {
         let model = IntervalModel::default();
         let power = PowerModel::hd7970();
-        let store = PlanStore::new(&model, &power);
+        let store = Arc::new(PlanStore::new(&model, &power));
         let app = suite::maxflops();
         let mut free = DeviceSession::oracle(0, &app, &store);
         let mut tight = DeviceSession::capped(1, &app, &store, Watts(120.0));

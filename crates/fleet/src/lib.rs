@@ -7,14 +7,16 @@
 //! work-stealing [`SweepPool`](harmonia_sim::SweepPool) from `harmonia-sim`.
 //! Three pieces make fleet scale cheap and safe:
 //!
-//! * [`PlanStore`] — a cross-session sweep-plan and simulation-cache store
-//!   keyed by *(device class, kernel fingerprint)*. The first device of a
-//!   class to meet a kernel pays the one batched cold sweep; every other
-//!   device of that class running the same kernel replays the memoized
-//!   decision (`BENCH_sweep.json` puts the warm re-decision at ~0.1 µs, so
-//!   fleet cost is orchestration, not modeling). Heterogeneous fleets
-//!   register extra catalog devices with
-//!   [`FleetScheduler::with_class`]/[`PlanStore::add_class`] and run via
+//! * One shared [`PlanStore`](harmonia::governor::PlanStore), core's
+//!   oracle store, keyed by *(device class, kernel fingerprint)*. Every
+//!   device decides through an
+//!   [`OracleGovernor`](harmonia::governor::OracleGovernor) over it, so the
+//!   first device of a class to meet a kernel pays the one batched cold
+//!   sweep and every other device of that class running the same kernel
+//!   replays the memoized decision (`BENCH_sweep.json` puts the warm
+//!   re-decision at ~0.1 µs, so fleet cost is orchestration, not
+//!   modeling). Heterogeneous fleets register extra catalog devices with
+//!   [`FleetScheduler::with_class`] and run via
 //!   [`FleetScheduler::run_mixed`]; the shared cache never aliases across
 //!   devices because its key embeds the device fingerprint.
 //! * [`ClusterGovernor`] — partitions one global power cap across devices
@@ -30,21 +32,19 @@
 //!   resulting [`FleetReport`] is byte-identical for any worker count;
 //!   [`FleetReport::canonical`] exposes the bit-exact form tests compare.
 //!
-//! Policies parse from [`FleetSpec`]: `fleet:oracle` (shared-store oracle,
-//! no budget) and `fleet:capped[@W]` (global cluster cap, default
-//! [`DEFAULT_CAP`](harmonia::governor::DEFAULT_CAP) per device) — the
-//! fleet-level generalization of the core registry's `capped[@W]`.
+//! Policies parse from [`FleetSpec`]: `fleet:oracle` (the oracle over the
+//! shared store, no budget) and `fleet:capped[@W]` (global cluster cap,
+//! default [`DEFAULT_CAP`](harmonia::governor::DEFAULT_CAP) per device) —
+//! the fleet-level generalization of the core registry's `capped[@W]`.
 
 pub mod cluster;
 pub mod device;
 pub mod report;
 pub mod scheduler;
 pub mod spec;
-pub mod store;
 
 pub use cluster::{Allocation, ClusterGovernor, DeviceDemand};
 pub use device::{DeviceReport, DeviceSession, TickOutcome};
 pub use report::{FleetReport, FleetRun};
 pub use scheduler::FleetScheduler;
 pub use spec::FleetSpec;
-pub use store::{KernelHandle, PlanStore, SharedOracleGovernor};

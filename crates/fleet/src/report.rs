@@ -61,7 +61,11 @@ impl FleetReport {
             format!("{:016x}", x.to_bits())
         }
         let mut out = String::new();
-        let _ = writeln!(out, "spec={} devices={} ticks={}", self.spec, self.devices, self.ticks);
+        let _ = writeln!(
+            out,
+            "spec={} devices={} ticks={}",
+            self.spec, self.devices, self.ticks
+        );
         let _ = writeln!(
             out,
             "cap={} violations={} infeasible={} max_power={}",

@@ -11,7 +11,7 @@
 //!    its kernels over the shared [`SweepPool`] — the batched decision
 //!    API. The pool claims each device exactly once per tick; all shared
 //!    plan/cache state is serialized per kernel inside the
-//!    [`PlanStore`].
+//!    [`PlanStore`] every device's oracle decides through.
 //! 3. **Merge (serial, device-id order).** Tick outcomes are reduced in
 //!    a fixed order — cluster power sums, violation checks, telemetry for
 //!    the next re-balance — so every reported number is byte-identical
@@ -25,17 +25,19 @@ use crate::cluster::{ClusterGovernor, DeviceDemand};
 use crate::device::{DeviceSession, TickOutcome};
 use crate::report::{FleetReport, FleetRun};
 use crate::spec::FleetSpec;
-use crate::store::PlanStore;
+use harmonia::governor::PlanStore;
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::sweep::run_indexed_on;
 use harmonia_sim::{SweepPool, TimingModel};
 use harmonia_workloads::Application;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Drives a fleet of device sessions in lock-step ticks.
 pub struct FleetScheduler<'a> {
-    store: PlanStore<'a>,
+    /// The store every device's oracle shares; sessions hold clones only
+    /// while a run lasts, so between runs the scheduler owns it alone.
+    store: Arc<PlanStore<'a>>,
     spec: FleetSpec,
     ticks: u64,
     /// Private pool override; `None` uses the process-shared pool.
@@ -49,7 +51,7 @@ impl<'a> FleetScheduler<'a> {
     /// [`with_class`](Self::with_class).
     pub fn new(model: &'a dyn TimingModel, power: &'a PowerModel, spec: FleetSpec) -> Self {
         Self {
-            store: PlanStore::new(model, power),
+            store: Arc::new(PlanStore::new(model, power)),
             spec,
             ticks: 16,
             pool: None,
@@ -60,7 +62,9 @@ impl<'a> FleetScheduler<'a> {
     /// and configuration grid) for [`run_mixed`](Self::run_mixed) fleets.
     /// Classes are numbered in registration order, starting after class 0.
     pub fn with_class(mut self, model: &'a dyn TimingModel, power: &'a PowerModel) -> Self {
-        self.store.add_class(model, power);
+        Arc::get_mut(&mut self.store)
+            .expect("no run holds the store while the scheduler is built")
+            .add_class(model, power);
         self
     }
 
@@ -240,7 +244,11 @@ mod tests {
         let run = sched.run(&fleet(8));
         let r = &run.report;
         assert_eq!(r.devices, 8);
-        assert_eq!(r.cluster_violation_ticks, 0, "max draw {}", r.max_cluster_power_w);
+        assert_eq!(
+            r.cluster_violation_ticks, 0,
+            "max draw {}",
+            r.max_cluster_power_w
+        );
         assert_eq!(r.infeasible_ticks, 0);
         assert!(r.max_cluster_power_w <= 1200.0);
         assert!(r.max_cluster_power_w > 0.0);
@@ -257,7 +265,10 @@ mod tests {
         let sched = FleetScheduler::new(&model, &power, FleetSpec::Oracle).with_ticks(4);
         let first = sched.run(&fleet(4));
         let cold = first.report.plans.cold_sweeps;
-        assert_eq!(cold, first.report.unique_kernels, "one cold sweep per kernel");
+        assert_eq!(
+            cold, first.report.unique_kernels,
+            "one cold sweep per kernel"
+        );
         let second = sched.run(&fleet(4));
         assert_eq!(
             second.report.plans.cold_sweeps, cold,
@@ -300,16 +311,22 @@ mod tests {
         let sched = FleetScheduler::new(&hd, &hd_power, spec)
             .with_class(&orin_model, &orin_power)
             .with_ticks(6);
-        let assignments: Vec<(usize, Application)> = (0..6)
-            .map(|i| (i % 2, suite::stencil()))
-            .collect();
+        let assignments: Vec<(usize, Application)> =
+            (0..6).map(|i| (i % 2, suite::stencil())).collect();
         let run = sched.run_mixed(&assignments);
         let r = &run.report;
         assert_eq!(r.devices, 6);
-        assert_eq!(r.cluster_violation_ticks, 0, "max draw {}", r.max_cluster_power_w);
+        assert_eq!(
+            r.cluster_violation_ticks, 0,
+            "max draw {}",
+            r.max_cluster_power_w
+        );
         assert_eq!(r.infeasible_ticks, 0);
         // One plan per (class, kernel): both classes planned the same app.
-        assert_eq!(r.unique_kernels as u64, 2 * suite::stencil().kernels.len() as u64);
+        assert_eq!(
+            r.unique_kernels as u64,
+            2 * suite::stencil().kernels.len() as u64
+        );
         let hd_dev = &r.per_device[0];
         let orin_dev = &r.per_device[1];
         assert_eq!(hd_dev.class, 0);

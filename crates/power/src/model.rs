@@ -340,12 +340,6 @@ impl PowerModel {
     }
 }
 
-impl Default for PowerModel {
-    fn default() -> Self {
-        Self::hd7970()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

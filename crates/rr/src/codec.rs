@@ -185,10 +185,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// The minimal format version able to express `events`. Streams without
-/// any v2-only event still encode as v1, byte-identical to what older
-/// builds wrote — committed golden traces survive the version bump.
-fn minimal_version(events: &[SessionEvent]) -> u16 {
+/// The minimal format version able to express `events`, which [`encode`]
+/// stamps in the header. Streams without any v2-only event still encode as
+/// v1, byte-identical to what older builds wrote — committed golden traces
+/// survive the version bump.
+pub fn minimal_version(events: &[SessionEvent]) -> u16 {
     if events
         .iter()
         .any(|e| matches!(e, SessionEvent::ActuationResolved { .. }))

@@ -176,12 +176,6 @@ impl GridSpec {
     }
 }
 
-impl Default for GridSpec {
-    fn default() -> Self {
-        Self::HD7970
-    }
-}
-
 /// Minimal FNV-1a accumulator for device fingerprints (same constants the
 /// fleet digests use).
 struct Fnv(u64);
@@ -341,12 +335,6 @@ impl GpuDescriptor {
         h.f64(self.dram_latency_slowdown_ns);
         h.f64(self.outstanding_per_wave);
         h.0
-    }
-}
-
-impl Default for GpuDescriptor {
-    fn default() -> Self {
-        Self::hd7970()
     }
 }
 
@@ -832,12 +820,6 @@ impl DeviceSpec {
                 .expect("snapped safe-state clock is on the grid"),
             crate::MemoryConfig::max_on(&self.gpu.grid),
         )
-    }
-}
-
-impl Default for DeviceSpec {
-    fn default() -> Self {
-        Self::hd7970()
     }
 }
 

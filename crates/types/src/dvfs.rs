@@ -126,12 +126,6 @@ impl DvfsTable {
     }
 }
 
-impl Default for DvfsTable {
-    fn default() -> Self {
-        Self::hd7970()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

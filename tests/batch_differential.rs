@@ -1,21 +1,23 @@
 //! Differential tests for the batched sweep path: `simulate_batch` must be
 //! bit-identical to the scalar `simulate` loop for every model, subset, and
 //! phase scale; incremental plan re-sweeps must reproduce cold sweeps byte
-//! for byte; and the plan-driven oracle must pick exactly what the naive
-//! 448-dispatch scalar fold picks.
+//! for byte; and the plan-driven oracle, private or over a shared store,
+//! must pick exactly what the naive scalar fold over the whole grid picks,
+//! on every catalog device.
 
-use harmonia::governor::{Ed2Objective, PowerTable};
+use harmonia::governor::{Ed2Objective, Governor, OracleGovernor, PlanStore, PowerTable};
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{
     DecisionKind, EventModel, IntervalModel, KernelProfile, PhaseModulation, PhaseScale, SweepPlan,
     TimingModel,
 };
-use harmonia_types::{ConfigSpace, HwConfig};
+use harmonia_types::{ConfigSpace, DeviceSpec, HwConfig};
 use harmonia_workloads::generator::random_profile;
 use harmonia_workloads::suite;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn grid() -> Vec<HwConfig> {
     ConfigSpace::hd7970().iter().collect()
@@ -133,48 +135,64 @@ fn event_batch_matches_scalar_on_grid_corner() {
 
 /// The plan-driven oracle picks exactly the configuration the naive scalar
 /// fold picks: simulate every config, score `card_pwr · t³`, first minimum
-/// in grid order wins.
+/// in grid order wins. Checked on every catalog device for every suite
+/// kernel (up to eight iterations) plus a random phase cycle, and for two
+/// oracles per device: a private one, and one deciding for class 1 of a
+/// shared store whose class 0 is another catalog device.
 #[test]
 fn oracle_decisions_match_the_naive_scalar_fold() {
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
-    let configs = grid();
-    let naive_best = |kernel: &KernelProfile, iteration: u64| -> HwConfig {
-        let mut best = HwConfig::max_hd7970();
-        let mut best_ed2 = f64::INFINITY;
-        for &cfg in &configs {
-            let r = model.simulate(cfg, kernel, iteration);
-            let t = r.time.value();
-            let activity = Activity {
-                valu_activity: r.counters.valu_activity(),
-                dram_bytes_per_sec: r.counters.dram_bytes_per_sec(),
-                dram_traffic_fraction: r.counters.ic_activity,
-            };
-            let ed2 = power.card_pwr(cfg, &activity).value() * t * t * t;
-            if ed2 < best_ed2 {
-                best_ed2 = ed2;
-                best = cfg;
-            }
-        }
-        best
-    };
-
-    let mut kernels: Vec<(String, KernelProfile)> =
-        suite::training_kernels().into_iter().take(6).collect();
+    let devices: Vec<DeviceSpec> = DeviceSpec::catalog()
+        .iter()
+        .map(|name| DeviceSpec::lookup(name).expect("catalog device"))
+        .collect();
+    let models: Vec<IntervalModel> = devices.iter().map(|d| IntervalModel::new(d.gpu)).collect();
+    let powers: Vec<PowerModel> = devices.iter().map(PowerModel::for_device).collect();
     let mut rng = StdRng::seed_from_u64(7);
-    kernels.push((
-        "cycled".into(),
-        random_cycled_kernel(&mut rng, "oracle-cycled"),
-    ));
-    for (name, kernel) in &kernels {
-        let mut oracle = harmonia::OracleGovernor::new(&model, &power);
-        for iteration in 0..4 {
-            use harmonia::governor::Governor;
-            assert_eq!(
-                oracle.decide(kernel, iteration),
-                naive_best(kernel, iteration),
-                "`{name}` iteration {iteration}: plan-driven oracle diverged from the scalar fold"
-            );
+    let cycled = random_cycled_kernel(&mut rng, "oracle-cycled");
+    let runs: Vec<(KernelProfile, u64)> = suite::all()
+        .into_iter()
+        .flat_map(|app| {
+            let iterations = app.iterations.min(8);
+            app.kernels.into_iter().map(move |k| (k, iterations))
+        })
+        .chain([(cycled, 8)])
+        .collect();
+    for (d, device) in devices.iter().enumerate() {
+        let (model, power) = (&models[d], &powers[d]);
+        let grid = &device.gpu.grid;
+        let configs: Vec<HwConfig> = ConfigSpace::for_grid(grid).iter().collect();
+        let naive_best = |kernel: &KernelProfile, iteration: u64| -> HwConfig {
+            let mut best = HwConfig::max_on(grid);
+            let mut best_ed2 = f64::INFINITY;
+            for &cfg in &configs {
+                let r = model.simulate(cfg, kernel, iteration);
+                let t = r.time.value();
+                let activity = Activity {
+                    valu_activity: r.counters.valu_activity(),
+                    dram_bytes_per_sec: r.counters.dram_bytes_per_sec(),
+                    dram_traffic_fraction: r.counters.ic_activity,
+                };
+                let ed2 = power.card_pwr(cfg, &activity).value() * t * t * t;
+                if ed2 < best_ed2 {
+                    best_ed2 = ed2;
+                    best = cfg;
+                }
+            }
+            best
+        };
+        let other = (d + 1) % devices.len();
+        let mut store = PlanStore::new(&models[other], &powers[other]);
+        let class = store.add_class(model, power);
+        let store = Arc::new(store);
+        for (kernel, iterations) in &runs {
+            let mut private = OracleGovernor::new(model, power);
+            let mut shared = OracleGovernor::shared(Arc::clone(&store), class);
+            for iteration in 0..*iterations {
+                let want = naive_best(kernel, iteration);
+                let at = || format!("{} `{}` iteration {iteration}", device.name, kernel.name);
+                assert_eq!(private.decide(kernel, iteration), want, "private oracle, {}", at());
+                assert_eq!(shared.decide(kernel, iteration), want, "shared oracle, {}", at());
+            }
         }
     }
 }

@@ -1,13 +1,14 @@
 //! Store handles are a pure lookup shortcut: deciding and simulating
-//! through a resolved [`KernelHandle`](harmonia_fleet::KernelHandle) must
-//! return the same bits, and leave the same cache and plan accounting, as
-//! the per-call `decide_for`/`simulate_for` path — on every catalog device
-//! and every suite kernel, not just the two devices the fleet golden pins.
+//! through a handle resolved once must return the same bits, and leave the
+//! same cache and plan accounting, as the per-call path (`decide_for`, and
+//! a sim through a freshly resolved [`KernelHandle`]) — on every catalog
+//! device and every suite kernel, not just the two devices the fleet
+//! golden pins.
 
-use harmonia_fleet::PlanStore;
+use harmonia::governor::{KernelHandle, PlanStore};
 use harmonia_power::PowerModel;
-use harmonia_sim::{IntervalModel, KernelProfile};
-use harmonia_types::DeviceSpec;
+use harmonia_sim::{IntervalModel, KernelProfile, SimResult};
+use harmonia_types::{DeviceSpec, HwConfig};
 use harmonia_workloads::suite;
 use std::fmt::Debug;
 
@@ -17,6 +18,17 @@ const TICKS: u64 = 8;
 /// renderings mean equal bits (NaN payloads aside).
 fn bits<T: Debug>(value: &T) -> String {
     format!("{value:?}")
+}
+
+/// One sim on the per-call path: through a handle resolved for this call.
+fn simulate_per_call(
+    store: &PlanStore,
+    class: usize,
+    kernel: &KernelProfile,
+    cfg: HwConfig,
+    tick: u64,
+) -> SimResult {
+    store.simulate_with(&store.handle(class, kernel), kernel, cfg, tick)
 }
 
 #[test]
@@ -41,7 +53,7 @@ fn handle_and_per_call_paths_are_bit_identical_on_every_catalog_device() {
         .into_iter()
         .flat_map(|app| app.kernels)
         .collect();
-    let handles: Vec<Vec<_>> = (0..devices.len())
+    let handles: Vec<Vec<KernelHandle>> = (0..devices.len())
         .map(|class| kernels.iter().map(|k| handled.handle(class, k)).collect())
         .collect();
     for tick in 0..TICKS {
@@ -53,14 +65,14 @@ fn handle_and_per_call_paths_are_bit_identical_on_every_catalog_device() {
                 // ahead of the cold sweep), then the decision, then the
                 // accounting sims a fleet session runs after it.
                 let a = handled.simulate_with(handle, kernel, boost, tick);
-                let b = per_call.simulate_for(class, kernel, boost, tick);
+                let b = simulate_per_call(&per_call, class, kernel, boost, tick);
                 assert_eq!(bits(&a), bits(&b), "boost sim, {}", at());
                 let a = handled.decide_with(handle, kernel, tick);
                 let b = per_call.decide_for(class, kernel, tick);
                 assert_eq!(bits(&a), bits(&b), "decision, {}", at());
                 for cfg in [a.config, floor] {
                     let ra = handled.simulate_with(handle, kernel, cfg, tick);
-                    let rb = per_call.simulate_for(class, kernel, cfg, tick);
+                    let rb = simulate_per_call(&per_call, class, kernel, cfg, tick);
                     assert_eq!(bits(&ra), bits(&rb), "sim at {cfg:?}, {}", at());
                 }
             }
