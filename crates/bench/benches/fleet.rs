@@ -48,8 +48,9 @@ fn solo_peak_power_w(model: &IntervalModel, power: &PowerModel) -> f64 {
 }
 
 fn bench_fleet(c: &mut Criterion) {
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
+    let hd7970 = DeviceSpec::lookup("hd7970").expect("hd7970 in catalog");
+    let model = IntervalModel::new(hd7970.gpu);
+    let power = PowerModel::for_device(&hd7970);
     let apps = fleet_apps(128);
     let sched = FleetScheduler::new(&model, &power, FleetSpec::Oracle).with_ticks(TICKS);
     sched.run(&apps); // warm the shared store
@@ -78,8 +79,9 @@ fn bench_fleet(c: &mut Criterion) {
 /// determinism, and writes `BENCH_fleet.json` at the repository root.
 fn write_artifact() {
     const REPS: usize = 5;
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
+    let hd7970 = DeviceSpec::lookup("hd7970").expect("hd7970 in catalog");
+    let model = IntervalModel::new(hd7970.gpu);
+    let power = PowerModel::for_device(&hd7970);
 
     let p0 = solo_peak_power_w(&model, &power);
     let cap_w = 0.9 * p0 * DEVICES as f64;

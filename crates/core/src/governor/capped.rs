@@ -115,6 +115,36 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
         self.stats.cap_violations()
     }
 
+    /// The clamp half of [`Governor::decide`]: grants `want` (the inner
+    /// policy's choice for this invocation), stepped down under the cap
+    /// for the kernel's projected activity, and records the grant. A
+    /// caller that already holds the inner decision, such as a fleet
+    /// session that decided through its own plan handle, clamps it here
+    /// without asking the inner governor again.
+    pub fn grant(&mut self, kernel: &KernelProfile, iteration: u64, want: HwConfig) -> HwConfig {
+        // Without an observation yet, assume a fully busy card on this
+        // device's own bus — the conservative projection for cap
+        // enforcement.
+        let activity = self
+            .activity
+            .get(&kernel.name)
+            .copied()
+            .unwrap_or_else(|| Activity::streaming_on(self.power.grid(), 1.0, 1.0));
+        let granted = self.clamp(want, &activity);
+        if granted != want {
+            self.trace.emit(|| TraceEvent::CapClamp {
+                kernel: kernel.name.to_string(),
+                iteration,
+                wanted: want.into(),
+                granted: granted.into(),
+            });
+        }
+        if let Some(ledger) = &self.ledger {
+            ledger.grant(&kernel.name, granted);
+        }
+        granted
+    }
+
     /// Clamps `cfg` under the cap for the given activity estimate. Steps
     /// run along the power model's device grid, so the decorator clamps
     /// catalog devices on their own lattices.
@@ -159,27 +189,7 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
 
     fn decide(&mut self, kernel: &KernelProfile, iteration: u64) -> HwConfig {
         let want = self.inner.decide(kernel, iteration);
-        // Without an observation yet, assume a fully busy card on this
-        // device's own bus — the conservative projection for cap
-        // enforcement.
-        let activity = self
-            .activity
-            .get(&kernel.name)
-            .copied()
-            .unwrap_or_else(|| Activity::streaming_on(self.power.grid(), 1.0, 1.0));
-        let granted = self.clamp(want, &activity);
-        if granted != want {
-            self.trace.emit(|| TraceEvent::CapClamp {
-                kernel: kernel.name.to_string(),
-                iteration,
-                wanted: want.into(),
-                granted: granted.into(),
-            });
-        }
-        if let Some(ledger) = &self.ledger {
-            ledger.grant(&kernel.name, granted);
-        }
-        granted
+        self.grant(kernel, iteration, want)
     }
 
     fn condition(
@@ -216,17 +226,19 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         // ones before they reach this accounting. A violation while a park
         // below is engaged (either watchdog's fallback or the ladder's safe
         // rung) also counts as one while parked.
-        let over = self.power.card_pwr(cfg, &activity).value() > self.cap.value() * 1.05;
-        if over && !pressure {
+        let projected = self.power.card_pwr(cfg, &activity).value();
+        if projected > self.cap.value() * 1.05 && !pressure {
             self.stats.count_cap_violation();
         }
         // A dead read (timer ran, every dynamic counter zero) is a failed
         // measurement, not an idle kernel: learning "zero activity" from it
         // would un-clamp the next grant to full boost and break the cap for
         // real. Likewise a substituted sample: it describes another
-        // interval's activity. Only samples from quiet intervals may teach
-        // the clamp.
-        if !pressure && !crate::sanitize::dead_sample(counters) {
+        // interval's activity. And a sample whose projection is not finite
+        // (a NaN counter) would make every later projection NaN, which
+        // never fits under the cap and walks the grant to the grid floor.
+        // Only finite samples from quiet intervals may teach the clamp.
+        if !pressure && projected.is_finite() && !crate::sanitize::dead_sample(counters) {
             *self.activity.slot(&kernel.name, || activity) = activity;
         }
         self.inner.observe(kernel, iteration, cfg, counters);
@@ -239,6 +251,7 @@ mod tests {
     use crate::governor::BaselineGovernor;
     use crate::predictor::SensitivityPredictor;
     use harmonia_sim::{IntervalModel, TimingModel};
+    use harmonia_types::DeviceSpec;
     use harmonia_workloads::suite;
 
     #[test]
@@ -329,6 +342,30 @@ mod tests {
         assert_eq!(g.cap(), Watts(150.0));
         assert_eq!(g.name(), "baseline@150W");
         assert_ne!(g.decide(&k, 1), HwConfig::max_hd7970());
+    }
+
+    #[test]
+    fn a_nan_sample_does_not_teach_the_clamp() {
+        let device = DeviceSpec::lookup("hd7970").expect("catalog device");
+        let power = PowerModel::for_device(&device);
+        let model = IntervalModel::new(device.gpu);
+        let k = suite::maxflops().kernels[0].clone();
+        let mut g = CappedGovernor::new(BaselineGovernor::new(), &power, Watts(185.0));
+        let clocks = |cfg: HwConfig| (cfg.compute.cu_count(), cfg.compute.freq().value());
+        // The fully busy projection used before any observation.
+        let first = g.decide(&k, 0);
+        assert_eq!(clocks(first), (32, 600));
+        let clean = model.simulate(first, &k, 0).counters;
+        let mut glitched = clean;
+        glitched.valu_busy_pct = f64::NAN;
+        g.observe(&k, 0, first, &glitched);
+        assert_eq!(
+            g.decide(&k, 1),
+            first,
+            "a NaN sample must leave the projection as it was"
+        );
+        g.observe(&k, 1, first, &clean);
+        assert_eq!(clocks(g.decide(&k, 2)), (32, 800));
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! configurations whose limiter could flip ([`DecisionKind::Incremental`]).
 //!
 //! An [`OracleGovernor`] decides for one device class of a store.
-//! [`OracleGovernor::new`] owns a private one-class store; a fleet gives
-//! every device an oracle over one shared store
-//! ([`OracleGovernor::shared`]), so the first device of a class to meet a
-//! kernel pays the cold sweep and every later one replays it. A store can
+//! [`OracleGovernor::new`] owns a private one-class store, and
+//! [`OracleGovernor::shared`] decides over a store others share. A fleet
+//! shares one store across all its devices, and each device decides
+//! through a [`KernelHandle`] per kernel ([`PlanStore::decide_with`]), so
+//! the first device of a class to meet a kernel pays the cold sweep and
+//! every later one replays it. A store can
 //! carry several device classes (e.g. an hd7970 rack next to a v100 rack),
 //! each with its own timing model, power model and grid; the cache is
 //! shared, because its key embeds the device fingerprint.

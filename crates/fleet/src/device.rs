@@ -1,15 +1,19 @@
-//! One device's session: a per-device governor stack over the fleet's
-//! shared [`PlanStore`], stepped once per scheduler tick.
+//! One device's session: one plan visit per kernel invocation over the
+//! fleet's shared [`PlanStore`], stepped once per scheduler tick.
 //!
-//! A session borrows its application and owns its governor stack (an
-//! [`OracleGovernor`] over the shared store, optionally wrapped in the core
-//! [`CappedGovernor`] when the fleet enforces a cluster cap), one store
-//! handle per kernel, and its accounting — total time, card energy, a
-//! rolling FNV-1a digest of every granted configuration, and the cap
-//! telemetry the [`ClusterGovernor`](crate::cluster::ClusterGovernor)
-//! water-fills on. Everything a step touches is either session-local or
-//! goes through the store's per-kernel locks, so stepping devices in
-//! parallel is safe and their accounting is interleaving-independent.
+//! A session borrows its application and owns one store handle per
+//! kernel, an optional power-cap clamp (the core [`CappedGovernor`], when
+//! the fleet enforces a cluster cap), and its accounting — total time,
+//! card energy, a rolling FNV-1a digest of every granted configuration,
+//! and the cap telemetry the
+//! [`ClusterGovernor`](crate::cluster::ClusterGovernor) water-fills on.
+//! Each invocation decides once, through its kernel's handle: that
+//! decision is the oracle's ED² argmin, the uncapped grant and the capped
+//! demand telemetry, and the clamp only clamps it
+//! ([`CappedGovernor::grant`]). Everything a step touches is either
+//! session-local or goes through the store's per-kernel locks, so stepping
+//! devices in parallel is safe and their accounting is
+//! interleaving-independent.
 
 use crate::cluster::DeviceDemand;
 use harmonia::governor::{CappedGovernor, Governor, KernelHandle, OracleGovernor, PlanStore};
@@ -18,13 +22,11 @@ use harmonia_types::{Joules, Seconds, Watts};
 use harmonia_workloads::Application;
 use std::sync::Arc;
 
-/// The per-device policy stack: the shared-store oracle, bare or under a
-/// power-cap clamp (boxed: the clamp's per-kernel state dwarfs the bare
-/// oracle).
-enum DeviceGovernor<'a> {
-    Oracle(OracleGovernor<'a>),
-    Capped(Box<CappedGovernor<'a, OracleGovernor<'a>>>),
-}
+/// A capped session's clamp (boxed: its per-kernel state dwarfs the rest
+/// of a session). Its inner oracle names the stack; the session decides
+/// for it through its own handles and hands each decision to
+/// [`CappedGovernor::grant`].
+type Clamp<'a> = Box<CappedGovernor<'a, OracleGovernor<'a>>>;
 
 /// What one device contributes to a tick's serial merge: its peak power
 /// during the tick plus the demand telemetry the next re-balance
@@ -70,7 +72,9 @@ pub struct DeviceSession<'s, 'a> {
     id: usize,
     class: usize,
     app: &'s Application,
-    governor: DeviceGovernor<'a>,
+    /// The power-cap clamp; uncapped sessions run the store's decision as
+    /// is.
+    clamp: Option<Clamp<'a>>,
     store: &'s PlanStore<'a>,
     /// One store handle per application kernel, in kernel order, resolved
     /// on the first step: every later tick decides and simulates through
@@ -96,8 +100,9 @@ fn fnv(mut digest: u64, words: &[u64]) -> u64 {
 }
 
 impl<'s, 'a> DeviceSession<'s, 'a> {
-    /// An uncapped class-0 session: the shared oracle governs directly.
-    pub fn oracle(id: usize, app: &'s Application, store: &'s Arc<PlanStore<'a>>) -> Self {
+    /// An uncapped class-0 session: it runs each decision of the shared
+    /// store as it is.
+    pub fn oracle(id: usize, app: &'s Application, store: &'s PlanStore<'a>) -> Self {
         Self::oracle_in_class(id, 0, app, store)
     }
 
@@ -106,13 +111,12 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         id: usize,
         class: usize,
         app: &'s Application,
-        store: &'s Arc<PlanStore<'a>>,
+        store: &'s PlanStore<'a>,
     ) -> Self {
-        let oracle = OracleGovernor::shared(Arc::clone(store), class);
-        Self::build(id, class, app, store, DeviceGovernor::Oracle(oracle))
+        Self::build(id, class, app, store, None)
     }
 
-    /// A capped class-0 session: the shared oracle under a
+    /// A capped class-0 session: the shared store's decisions under a
     /// [`CappedGovernor`] clamp at the device's initial cap share.
     pub fn capped(
         id: usize,
@@ -134,8 +138,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     ) -> Self {
         let oracle = OracleGovernor::shared(Arc::clone(store), class);
         let clamp = CappedGovernor::new(oracle, store.power_of(class), cap);
-        let governor = DeviceGovernor::Capped(Box::new(clamp));
-        Self::build(id, class, app, store, governor)
+        Self::build(id, class, app, store, Some(Box::new(clamp)))
     }
 
     fn build(
@@ -143,13 +146,13 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         class: usize,
         app: &'s Application,
         store: &'s PlanStore<'a>,
-        governor: DeviceGovernor<'a>,
+        clamp: Option<Clamp<'a>>,
     ) -> Self {
         Self {
             id,
             class,
             app,
-            governor,
+            clamp,
             store,
             handles: Vec::new(),
             total_time: Seconds(0.0),
@@ -172,8 +175,8 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     /// Re-targets the device's cap share (no-op for uncapped sessions).
     /// Called by the scheduler's serial re-balance phase.
     pub fn set_cap(&mut self, cap: Watts) {
-        if let DeviceGovernor::Capped(g) = &mut self.governor {
-            g.set_cap(cap);
+        if let Some(clamp) = &mut self.clamp {
+            clamp.set_cap(cap);
         }
     }
 
@@ -186,7 +189,6 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         if self.handles.len() != app.kernels.len() {
             self.handles = app.kernels.iter().map(|k| store.handle(class, k)).collect();
         }
-        let capped = matches!(self.governor, DeviceGovernor::Capped(_));
         let power = store.power_of(class);
         let floor_cfg = store.floor_of(class);
         let mut tick_power = 0.0_f64;
@@ -197,21 +199,20 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         };
         let mut benefit = 0.0_f64;
         for (ki, (kernel, handle)) in app.kernels.iter().zip(&self.handles).enumerate() {
-            // The unconstrained optimum first: for capped fleets it is the
-            // demand telemetry; the plan memo makes the governor's own
-            // lookup free either way. The clamp's inner oracle decides
-            // through `decide_for` on its own, so every capped decision
-            // counts two memo hits.
-            let desired = if capped {
-                Some(store.decide_with(handle, kernel, tick))
+            // The invocation's one plan visit. The ED² argmin is the
+            // uncapped grant, what the clamp clamps, and the demand
+            // telemetry; its result is the grant's simulation unless the
+            // clamp stepped down, so only a clamped grant asks the cache.
+            let desired = store.decide_with(handle, kernel, tick);
+            let granted = match &mut self.clamp {
+                Some(clamp) => clamp.grant(kernel, tick, desired.config),
+                None => desired.config,
+            };
+            let result = if granted == desired.config {
+                desired.result
             } else {
-                None
+                store.simulate_with(handle, kernel, granted, tick)
             };
-            let granted = match &mut self.governor {
-                DeviceGovernor::Oracle(g) => g.decide(kernel, tick),
-                DeviceGovernor::Capped(g) => g.decide(kernel, tick),
-            };
-            let result = store.simulate_with(handle, kernel, granted, tick);
             let breakdown = power.breakdown(granted, &activity_of(&result.counters));
             let dt = result.time;
             self.total_time += dt;
@@ -227,29 +228,27 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
                 ],
             );
             self.decisions += 1;
-            match &mut self.governor {
-                DeviceGovernor::Oracle(g) => g.observe(kernel, tick, granted, &result.counters),
-                DeviceGovernor::Capped(g) => g.observe(kernel, tick, granted, &result.counters),
-            }
-            if let Some(desired) = desired {
-                // Projected draw of the floor and the optimum at the
-                // activity just observed — the floor sim is a cache hit
-                // (the cold sweep covered the whole grid).
-                let floor_res = store.simulate_with(handle, kernel, floor_cfg, tick);
-                let p_floor = power
-                    .card_pwr(floor_cfg, &activity_of(&floor_res.counters))
-                    .value();
-                let p_want = power
-                    .card_pwr(desired.config, &activity_of(&desired.result.counters))
-                    .value();
-                demand.floor = demand.floor.max(p_floor);
-                demand.demand = demand.demand.max(p_want);
-                // Per-invocation ED² lost by running at the floor instead
-                // of the optimum: the marginal benefit the headroom buys.
-                let t_f = floor_res.time.value();
-                let ed2_floor = p_floor * t_f * t_f * t_f;
-                benefit += (ed2_floor - desired.objective).max(0.0);
-            }
+            let Some(clamp) = &mut self.clamp else {
+                continue;
+            };
+            clamp.observe(kernel, tick, granted, &result.counters);
+            // Projected draw of the floor and the optimum at the activity
+            // just observed — the floor sim is a cache hit (the cold sweep
+            // covered the whole grid).
+            let floor_res = store.simulate_with(handle, kernel, floor_cfg, tick);
+            let p_floor = power
+                .card_pwr(floor_cfg, &activity_of(&floor_res.counters))
+                .value();
+            let p_want = power
+                .card_pwr(desired.config, &activity_of(&desired.result.counters))
+                .value();
+            demand.floor = demand.floor.max(p_floor);
+            demand.demand = demand.demand.max(p_want);
+            // Per-invocation ED² lost by running at the floor instead of
+            // the optimum: the marginal benefit the headroom buys.
+            let t_f = floor_res.time.value();
+            let ed2_floor = p_floor * t_f * t_f * t_f;
+            benefit += (ed2_floor - desired.objective).max(0.0);
         }
         let gap = demand.demand - demand.floor;
         demand.weight = if gap > 0.0 {
@@ -265,10 +264,16 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
 
     /// The device's final accounting. The cap-violation count is the
     /// clamp's own 5%-tolerance ledger; uncapped sessions report zero.
+    /// Every grant starts from the oracle's ED² argmin, so an uncapped
+    /// session is named `oracle`, as the oracle governor is.
     pub fn report(&self) -> DeviceReport {
-        let (governor, cap_violations, final_cap_w) = match &self.governor {
-            DeviceGovernor::Oracle(g) => (g.name(), 0, None),
-            DeviceGovernor::Capped(g) => (g.name(), g.cap_violations(), Some(g.cap().value())),
+        let (governor, cap_violations, final_cap_w) = match &self.clamp {
+            None => ("oracle", 0, None),
+            Some(clamp) => (
+                clamp.name(),
+                clamp.cap_violations(),
+                Some(clamp.cap().value()),
+            ),
         };
         DeviceReport {
             id: self.id,
@@ -291,12 +296,21 @@ mod tests {
     use super::*;
     use harmonia_power::PowerModel;
     use harmonia_sim::IntervalModel;
+    use harmonia_types::DeviceSpec;
     use harmonia_workloads::suite;
+
+    /// The hd7970's timing and power models, from the device catalog.
+    fn catalog_models() -> (IntervalModel, PowerModel) {
+        let device = DeviceSpec::lookup("hd7970").expect("catalog device");
+        (
+            IntervalModel::new(device.gpu),
+            PowerModel::for_device(&device),
+        )
+    }
 
     #[test]
     fn an_uncapped_step_accumulates_time_energy_and_digest() {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         let store = Arc::new(PlanStore::new(&model, &power));
         let app = suite::stencil();
         let mut dev = DeviceSession::oracle(0, &app, &store);
@@ -309,12 +323,12 @@ mod tests {
         assert_ne!(r.config_digest, FNV_OFFSET);
         assert_eq!(r.final_cap_w, None);
         assert_eq!(r.cap_violations, 0);
+        assert_eq!(r.governor, "fleet:oracle");
     }
 
     #[test]
     fn identical_devices_produce_identical_reports() {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         let store = Arc::new(PlanStore::new(&model, &power));
         let app = suite::stencil();
         let mut a = DeviceSession::oracle(0, &app, &store);
@@ -338,8 +352,7 @@ mod tests {
 
     #[test]
     fn a_tight_cap_shows_up_in_power_and_telemetry() {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         let store = Arc::new(PlanStore::new(&model, &power));
         let app = suite::maxflops();
         let mut free = DeviceSession::oracle(0, &app, &store);
@@ -355,6 +368,8 @@ mod tests {
         let d = tight_out.demand;
         assert!(d.floor > 0.0 && d.demand > d.floor, "telemetry: {d:?}");
         assert!(d.weight >= 0.0);
-        assert!(tight.report().final_cap_w == Some(120.0));
+        let r = tight.report();
+        assert!(r.final_cap_w == Some(120.0));
+        assert_eq!(r.governor, "fleet:oracle@120W");
     }
 }

@@ -9,22 +9,27 @@
 //!
 //! * One shared [`PlanStore`](harmonia::governor::PlanStore), core's
 //!   oracle store, keyed by *(device class, kernel fingerprint)*. Every
-//!   device decides through an
-//!   [`OracleGovernor`](harmonia::governor::OracleGovernor) over it, so the
-//!   first device of a class to meet a kernel pays the one batched cold
-//!   sweep and every other device of that class running the same kernel
-//!   replays the memoized decision (`BENCH_sweep.json` puts the warm
-//!   re-decision at ~0.1 µs, so fleet cost is orchestration, not
-//!   modeling). Heterogeneous fleets register extra catalog devices with
+//!   device decides each invocation once, through the store handle it
+//!   resolved for the kernel on its first tick, so the first device of a
+//!   class to meet a kernel pays the one batched cold sweep and every
+//!   other device of that class running the same kernel replays the
+//!   memoized decision (`BENCH_sweep.json` puts the warm re-decision at
+//!   ~0.1 µs, so fleet cost is orchestration, not modeling). That
+//!   decision is the oracle's ED² argmin and carries its own simulation,
+//!   so an uncapped device never probes the cache outside a sweep.
+//!   Heterogeneous fleets register extra catalog devices with
 //!   [`FleetScheduler::with_class`] and run via
 //!   [`FleetScheduler::run_mixed`]; the shared cache never aliases across
 //!   devices because its key embeds the device fingerprint.
 //! * [`ClusterGovernor`] — partitions one global power cap across devices
 //!   by water-filling on each device's predicted ED² marginal benefit per
 //!   watt, re-balancing every tick as workloads phase-shift. Each device
-//!   enforces its share with the existing
-//!   [`CappedGovernor`](harmonia::governor::CappedGovernor) stack,
-//!   unchanged.
+//!   enforces its share with the core
+//!   [`CappedGovernor`](harmonia::governor::CappedGovernor): the session
+//!   hands its decision to
+//!   [`CappedGovernor::grant`](harmonia::governor::CappedGovernor::grant),
+//!   the same clamp a single session's `Governor::decide` runs, so no
+//!   fleet path asks a plan twice.
 //! * Deterministic merge — device steps run in parallel, but every
 //!   reduction (cluster power sums, cap partitioning, report assembly)
 //!   happens serially in device-id order, and all shared-cache access for

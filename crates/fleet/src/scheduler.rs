@@ -11,7 +11,7 @@
 //!    its kernels over the shared [`SweepPool`] — the batched decision
 //!    API. The pool claims each device exactly once per tick; all shared
 //!    plan/cache state is serialized per kernel inside the
-//!    [`PlanStore`] every device's oracle decides through.
+//!    [`PlanStore`] every device decides through.
 //! 3. **Merge (serial, device-id order).** Tick outcomes are reduced in
 //!    a fixed order — cluster power sums, violation checks, telemetry for
 //!    the next re-balance — so every reported number is byte-identical
@@ -35,8 +35,9 @@ use std::time::Instant;
 
 /// Drives a fleet of device sessions in lock-step ticks.
 pub struct FleetScheduler<'a> {
-    /// The store every device's oracle shares; sessions hold clones only
-    /// while a run lasts, so between runs the scheduler owns it alone.
+    /// The store every device decides through; capped sessions' clamps
+    /// hold clones only while a run lasts, so between runs the scheduler
+    /// owns it alone.
     store: Arc<PlanStore<'a>>,
     spec: FleetSpec,
     ticks: u64,
@@ -227,7 +228,17 @@ impl<'a> FleetScheduler<'a> {
 mod tests {
     use super::*;
     use harmonia_sim::IntervalModel;
+    use harmonia_types::DeviceSpec;
     use harmonia_workloads::suite;
+
+    /// The hd7970's timing and power models, from the device catalog.
+    fn catalog_models() -> (IntervalModel, PowerModel) {
+        let device = DeviceSpec::lookup("hd7970").expect("catalog device");
+        (
+            IntervalModel::new(device.gpu),
+            PowerModel::for_device(&device),
+        )
+    }
 
     fn fleet(n: usize) -> Vec<Application> {
         (0..n).map(|_| suite::stencil()).collect()
@@ -235,8 +246,7 @@ mod tests {
 
     #[test]
     fn a_capped_fleet_honors_the_global_cap_on_every_tick() {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         // Tight enough to engage every clamp (stencil draws well over
         // 100 W unconstrained), loose enough to be feasible.
         let spec = "fleet:capped@1200".parse().unwrap();
@@ -260,8 +270,7 @@ mod tests {
 
     #[test]
     fn the_store_stays_warm_across_runs() {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         let sched = FleetScheduler::new(&model, &power, FleetSpec::Oracle).with_ticks(4);
         let first = sched.run(&fleet(4));
         let cold = first.report.plans.cold_sweeps;
@@ -281,8 +290,7 @@ mod tests {
     fn capping_degrades_ed2_monotonically_at_the_fleet_level() {
         // A fleet under a tight budget cannot beat the unconstrained
         // oracle on ED² — the clamp only removes options.
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         let free = FleetScheduler::new(&model, &power, FleetSpec::Oracle)
             .with_ticks(6)
             .run(&fleet(2));
@@ -299,9 +307,7 @@ mod tests {
 
     #[test]
     fn a_mixed_device_fleet_shares_one_budget_across_classes() {
-        use harmonia_types::DeviceSpec;
-        let hd = IntervalModel::default();
-        let hd_power = PowerModel::hd7970();
+        let (hd, hd_power) = catalog_models();
         let orin = DeviceSpec::lookup("jetson-orin").unwrap();
         let orin_model = IntervalModel::new(orin.gpu);
         let orin_power = PowerModel::for_device(&orin);
@@ -348,8 +354,7 @@ mod tests {
 
     #[test]
     fn symmetric_capped_devices_get_identical_treatment() {
-        let model = IntervalModel::default();
-        let power = PowerModel::hd7970();
+        let (model, power) = catalog_models();
         let spec = "fleet:capped@900".parse().unwrap();
         let run = FleetScheduler::new(&model, &power, spec)
             .with_ticks(6)

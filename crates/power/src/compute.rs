@@ -206,7 +206,10 @@ mod tests {
             0.0,
             0.0,
         );
-        assert!(p.cu_dynamic.value() > 0.0, "idle clocking should draw power");
+        assert!(
+            p.cu_dynamic.value() > 0.0,
+            "idle clocking should draw power"
+        );
         assert!(p.leakage.value() > 0.0);
     }
 

@@ -207,7 +207,9 @@ mod tests {
         let params = MemoryPowerParams::default();
         let mut prev = 0.0;
         for gbps in [0.0, 50.0, 100.0, 200.0, 264.0] {
-            let p = memory_power(&params, cfg_mem(1375), gbps * 1e9).total().value();
+            let p = memory_power(&params, cfg_mem(1375), gbps * 1e9)
+                .total()
+                .value();
             assert!(p >= prev);
             prev = p;
         }

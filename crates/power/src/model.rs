@@ -447,7 +447,10 @@ mod tests {
         let cfg = HwConfig::max_hd7970();
         let d = discrete.breakdown(cfg, &act);
         let s = stacked.breakdown(cfg, &act);
-        assert!(s.mem_pwr() < d.mem_pwr() * 0.7, "stacked memory should be much cheaper");
+        assert!(
+            s.mem_pwr() < d.mem_pwr() * 0.7,
+            "stacked memory should be much cheaper"
+        );
         assert!(s.other_pwr() < d.other_pwr());
         // Compute side is identical.
         assert_eq!(s.cu_dynamic, d.cu_dynamic);

@@ -153,11 +153,7 @@ impl Ols {
     ///
     /// Panics if `x.len()` differs from the number of fitted coefficients.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(
-            x.len(),
-            self.coefficients.len(),
-            "predictor count mismatch"
-        );
+        assert_eq!(x.len(), self.coefficients.len(), "predictor count mismatch");
         self.intercept
             + self
                 .coefficients
@@ -231,11 +227,7 @@ mod tests {
 
     #[test]
     fn predict_matches_formula() {
-        let fit = Ols::fit(
-            &[vec![0.0], vec![1.0], vec![2.0]],
-            &[1.0, 3.0, 5.0],
-        )
-        .unwrap();
+        let fit = Ols::fit(&[vec![0.0], vec![1.0], vec![2.0]], &[1.0, 3.0, 5.0]).unwrap();
         assert!((fit.predict(&[10.0]) - 21.0).abs() < 1e-9);
     }
 
@@ -263,7 +255,10 @@ mod tests {
             vec![4.0, 8.0],
         ];
         let y = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(Ols::fit(&x, &y).unwrap_err(), RegressionError::SingularDesign);
+        assert_eq!(
+            Ols::fit(&x, &y).unwrap_err(),
+            RegressionError::SingularDesign
+        );
     }
 
     #[test]
@@ -276,7 +271,10 @@ mod tests {
             Ols::fit(&[vec![1.0]], &[1.0, 2.0]).unwrap_err(),
             RegressionError::ShapeMismatch
         );
-        assert_eq!(Ols::fit(&[], &[]).unwrap_err(), RegressionError::ShapeMismatch);
+        assert_eq!(
+            Ols::fit(&[], &[]).unwrap_err(),
+            RegressionError::ShapeMismatch
+        );
     }
 
     #[test]

@@ -87,9 +87,7 @@ pub struct TunableLevel {
 }
 
 /// Compute-side configuration: active CU count and CU frequency.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ComputeConfig {
     cu_count: u32,
     freq: MegaHertz,
@@ -172,9 +170,7 @@ impl fmt::Display for ComputeConfig {
 }
 
 /// Memory-side configuration: the memory bus frequency.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MemoryConfig {
     bus_freq: MegaHertz,
 }

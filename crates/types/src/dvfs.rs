@@ -114,7 +114,9 @@ impl DvfsTable {
             if freq <= hi.freq {
                 let span = f64::from(hi.freq.value() - lo.freq.value());
                 let frac = f64::from(freq.value() - lo.freq.value()) / span;
-                return Volts(lo.voltage.value() + frac * (hi.voltage.value() - lo.voltage.value()));
+                return Volts(
+                    lo.voltage.value() + frac * (hi.voltage.value() - lo.voltage.value()),
+                );
             }
         }
         self.states.last().expect("non-empty").voltage

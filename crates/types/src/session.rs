@@ -97,8 +97,7 @@ impl Session {
     ///   resolved against the catalog at the construction site.
     pub fn from_lookup<F: Fn(&str) -> Option<String>>(lookup: F) -> Self {
         Self {
-            trace: lookup(TRACE_ENV)
-                .is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true")),
+            trace: lookup(TRACE_ENV).is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true")),
             threads: lookup(THREADS_ENV)
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n > 0),
@@ -278,10 +277,16 @@ mod tests {
     #[test]
     fn trace_accepts_one_and_true_case_insensitively() {
         for v in ["1", "true", "TRUE", "True"] {
-            assert!(Session::from_lookup(lookup(&[(TRACE_ENV, v)])).trace(), "{v}");
+            assert!(
+                Session::from_lookup(lookup(&[(TRACE_ENV, v)])).trace(),
+                "{v}"
+            );
         }
         for v in ["0", "", "yes", "on", "2"] {
-            assert!(!Session::from_lookup(lookup(&[(TRACE_ENV, v)])).trace(), "{v}");
+            assert!(
+                !Session::from_lookup(lookup(&[(TRACE_ENV, v)])).trace(),
+                "{v}"
+            );
         }
     }
 

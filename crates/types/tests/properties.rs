@@ -9,9 +9,8 @@ use proptest::prelude::*;
 const HD: GridSpec = GridSpec::HD7970;
 
 fn arb_device() -> impl Strategy<Value = DeviceSpec> {
-    (0usize..DeviceSpec::catalog().len()).prop_map(|i| {
-        DeviceSpec::lookup(DeviceSpec::catalog()[i]).expect("catalog names resolve")
-    })
+    (0usize..DeviceSpec::catalog().len())
+        .prop_map(|i| DeviceSpec::lookup(DeviceSpec::catalog()[i]).expect("catalog names resolve"))
 }
 
 fn arb_config() -> impl Strategy<Value = HwConfig> {

@@ -16,7 +16,11 @@ pub fn random_profile<R: Rng + ?Sized>(rng: &mut R, name: impl Into<Arc<str>>) -
     let archetype = rng.gen_range(0..4u8);
     let mut b = KernelProfile::builder(name)
         .workitems(1 << rng.gen_range(14..23))
-        .workgroup_size(*[64u32, 128, 256].get(rng.gen_range(0..3)).expect("index in range"))
+        .workgroup_size(
+            *[64u32, 128, 256]
+                .get(rng.gen_range(0..3))
+                .expect("index in range"),
+        )
         .vgprs(rng.gen_range(12..=128))
         .sgprs(rng.gen_range(12..=102))
         .branch_divergence(rng.gen_range(0.0..0.8))

@@ -195,8 +195,14 @@ mod tests {
         let cfg = HwConfig::max_hd7970();
         let lean = m.simulate(cfg, &balance_probe(0.5), 0).counters;
         let heavy = m.simulate(cfg, &balance_probe(64.0), 0).counters;
-        assert!(lean.ic_activity > 0.5, "low-intensity probe must be memory bound");
-        assert!(heavy.valu_busy_pct > 80.0, "high-intensity probe must be compute bound");
+        assert!(
+            lean.ic_activity > 0.5,
+            "low-intensity probe must be memory bound"
+        );
+        assert!(
+            heavy.valu_busy_pct > 80.0,
+            "high-intensity probe must be compute bound"
+        );
         assert!(heavy.ic_activity < lean.ic_activity);
     }
 

@@ -234,7 +234,11 @@ pub fn comd() -> Application {
         .l1_hit_rate(0.2)
         .l2_hit_rate(0.3)
         .build();
-    Application::new("CoMD", vec![advance_velocity, eam_force, advance_position], 16)
+    Application::new(
+        "CoMD",
+        vec![advance_velocity, eam_force, advance_position],
+        16,
+    )
 }
 
 /// Exascale proxy `XSBench` (Monte Carlo neutron transport lookup): memory
@@ -507,9 +511,7 @@ pub fn training_kernels() -> Vec<(String, harmonia_sim::KernelProfile)> {
         .into_iter()
         .flat_map(|app| {
             let name = app.name.clone();
-            app.kernels
-                .into_iter()
-                .map(move |k| (name.clone(), k))
+            app.kernels.into_iter().map(move |k| (name.clone(), k))
         })
         .collect()
 }
@@ -608,7 +610,10 @@ mod tests {
             .collect();
         let max = ratios.iter().cloned().fold(f64::MIN, f64::max);
         let min = ratios.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(max / min > 4.0, "phase ops/byte swing too small: {ratios:?}");
+        assert!(
+            max / min > 4.0,
+            "phase ops/byte swing too small: {ratios:?}"
+        );
     }
 
     #[test]

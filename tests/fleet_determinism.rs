@@ -8,6 +8,7 @@
 use harmonia_fleet::{FleetScheduler, FleetSpec};
 use harmonia_power::PowerModel;
 use harmonia_sim::{IntervalModel, SweepPool};
+use harmonia_types::DeviceSpec;
 use harmonia_workloads::{suite, Application};
 use proptest::prelude::*;
 
@@ -15,8 +16,9 @@ use proptest::prelude::*;
 const WORKERS: [usize; 3] = [0, 1, 7];
 
 fn canonical_run(spec: FleetSpec, apps: &[Application], ticks: u64, workers: usize) -> String {
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
+    let device = DeviceSpec::lookup("hd7970").expect("catalog device");
+    let model = IntervalModel::new(device.gpu);
+    let power = PowerModel::for_device(&device);
     let sched = FleetScheduler::new(&model, &power, spec)
         .with_ticks(ticks)
         .with_pool(SweepPool::with_workers(workers));

@@ -6,10 +6,18 @@
 use harmonia_fleet::{FleetScheduler, FleetSpec};
 use harmonia_power::PowerModel;
 use harmonia_sim::IntervalModel;
-use harmonia_types::ConfigSpace;
+use harmonia_types::{ConfigSpace, DeviceSpec};
 use harmonia_workloads::{suite, Application};
 
 const TICKS: u64 = 6;
+
+/// The hd7970 from the device catalog, with its timing and power models.
+fn catalog_hd7970() -> (DeviceSpec, IntervalModel, PowerModel) {
+    let device = DeviceSpec::lookup("hd7970").expect("catalog device");
+    let model = IntervalModel::new(device.gpu);
+    let power = PowerModel::for_device(&device);
+    (device, model, power)
+}
 
 fn fleet_of(app: &Application, n: usize) -> Vec<Application> {
     (0..n).map(|_| app.clone()).collect()
@@ -17,8 +25,7 @@ fn fleet_of(app: &Application, n: usize) -> Vec<Application> {
 
 #[test]
 fn identical_kernel_fleet_performs_exactly_one_cold_sweep() {
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
+    let (device, model, power) = catalog_hd7970();
     let app = suite::stencil();
     let unique_kernels = app.kernels.len();
     let sched = FleetScheduler::new(&model, &power, FleetSpec::Oracle).with_ticks(TICKS);
@@ -30,21 +37,27 @@ fn identical_kernel_fleet_performs_exactly_one_cold_sweep() {
         "every kernel fingerprint must be swept cold exactly once fleet-wide"
     );
     // Stencil kernels are constant-phase, so no incremental re-sweeps and
-    // one cache miss per grid lane per unique kernel — every other lookup
-    // across 16 devices × 6 ticks is a hit.
+    // one cache miss per grid lane per unique kernel. Every other decision
+    // across 16 devices × 6 ticks replays the plan memo, whose decision
+    // carries its own simulation: an uncapped fleet never probes the cache
+    // outside a sweep.
     assert_eq!(r.plans.incremental_sweeps, 0);
     assert_eq!(
         r.cache.misses,
-        unique_kernels * ConfigSpace::hd7970().len(),
+        unique_kernels * ConfigSpace::for_grid(&device.gpu.grid).len(),
         "cache misses must equal unique kernels × grid size"
     );
-    assert!(r.cache.hits > 0, "the other 15 devices must ride the warm cache");
+    assert_eq!(r.cache.hits, 0, "no cache probe outside the cold sweeps");
+    assert_eq!(
+        r.plans.memo_hits,
+        16 * TICKS as usize * unique_kernels - unique_kernels,
+        "every decision but the cold sweeps must replay the plan memo"
+    );
 }
 
 #[test]
 fn mixed_fleet_cold_sweeps_once_per_unique_kernel() {
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
+    let (device, model, power) = catalog_hd7970();
     // 3 distinct apps × 4 devices each = 12 devices over the union of
     // their kernels.
     let apps = [suite::stencil(), suite::maxflops(), suite::devicememory()];
@@ -57,13 +70,15 @@ fn mixed_fleet_cold_sweeps_once_per_unique_kernel() {
     let r = sched.run(&fleet).report;
     assert_eq!(r.unique_kernels, unique_kernels);
     assert_eq!(r.plans.cold_sweeps, unique_kernels);
-    assert_eq!(r.cache.misses, unique_kernels * ConfigSpace::hd7970().len());
+    assert_eq!(
+        r.cache.misses,
+        unique_kernels * ConfigSpace::for_grid(&device.gpu.grid).len()
+    );
 }
 
 #[test]
 fn shared_store_results_are_bit_identical_to_solo_runs() {
-    let model = IntervalModel::default();
-    let power = PowerModel::hd7970();
+    let (_, model, power) = catalog_hd7970();
     let apps = [suite::stencil(), suite::maxflops(), suite::devicememory()];
     let mut fleet = Vec::new();
     for app in &apps {
